@@ -43,7 +43,7 @@ from .errors import (
     RankPartError,
     ResourceError,
 )
-from .greedy import PartitionBuilder, complete_head, greedy_extend
+from .greedy import PartitionBuilder, complete_head, greedy_extend, lockstep_classes
 from .headfile import parse_head_file, serialize_head
 from .partition import (
     Partition,
@@ -97,6 +97,7 @@ __all__ = [
     "equivalent_up_to",
     "fifth_column_candidates",
     "greedy_extend",
+    "lockstep_classes",
     "parse_head_file",
     "partition_numbering",
     "residue_set_index",

@@ -1,17 +1,32 @@
 """Full enumeration census for one modulus: counts, dedup groups, classes.
 
-The census enumerates every five-column head, groups heads by union key,
-extends one representative per group to the horizon, and classifies the
-extensions.  Some representatives for m >= 7 hit a forced collision while
-extending; they are reported as non-extendable and left out of the
-classification.
+The census enumerates every five-column head and groups heads by union key.
+One builder per group representative, plus one for the standard head, then
+run in lockstep (greedy.lockstep_classes): every live builder is extended
+one rank at a time and, at rank 5 and at every rank up to H/2, builders
+whose used sets coincide are merged, the later one being dropped.
+
+That merge is exactly the equivalence at horizon H.  Greedy extension from
+rank n depends only on the set of integers used so far, so two builders with
+equal used sets at rank n <= H/2 have identical columns from rank n+1 on and
+equal element multisets in their first n columns: their columns agree beyond
+a rank N <= H/2 with equal prefix multisets.  Conversely two extensions that
+agree beyond some N <= H/2 with equal prefix multisets have equal used sets
+at rank H/2.  Past H/2 only the class roots extend, to the horizon.
+
+Some representatives for m >= 7 hit a forced collision while extending; a
+builder that fails takes its whole class with it, and those representatives
+are reported as non-extendable and left out of the classification.  The
+representatives in the standard head's class are the standard-equivalent
+ones.
 
 Because nothing says whether the class tally should count the class of the
 standard partition's own head group, both protocols are available:
-"exclude-standard" drops the standard group before classifying (for m=5 this
-leaves the familiar 20 representatives), "include-standard" keeps it.  The
-two tallies agree for every modulus tried so far, since some non-standard
-representative is always equivalent to the standard partition and absorbs it.
+"exclude-standard" drops the standard group before counting (for m=5 this
+leaves the familiar 20 representatives), "include-standard" keeps it.  Both
+read the same lockstep run.  The two tallies agree for every modulus tried
+so far, since some non-standard representative is always equivalent to the
+standard partition and absorbs it.
 """
 from __future__ import annotations
 
@@ -19,8 +34,6 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import (
-    DedupGroup,
-    Head,
     count_statements,
     dedup_heads,
     enumerate_heads_general,
@@ -28,12 +41,11 @@ from .enumeration import (
     partition_numbering,
     sum_decompositions,
 )
-from .equivalence import classify, equivalent_up_to
-from .errors import CollisionError, NegativeError
-from .greedy import greedy_extend
-from .partition import Partition, standard_partition, sum_schedule
+from .greedy import lockstep_classes
+from .partition import standard_column, sum_schedule
 
 PROTOCOLS = ("exclude-standard", "include-standard")
+HEAD_COLUMNS = 5
 
 
 @dataclass(frozen=True)
@@ -77,16 +89,6 @@ class CensusReport:
         return out
 
 
-@dataclass(frozen=True)
-class _SharedState:
-    cfg: ModulusConfig
-    horizon: int
-    heads: list[Head]
-    groups: list[DedupGroup]
-    extensions: dict[int, Partition | None]
-    standard_equivalent: tuple[int, ...]
-
-
 def _decomposition_counts(cfg: ModulusConfig) -> tuple[int, int, int]:
     # m=5 only: choices for columns 3 and 4, plus the rowwise rank-5 pool
     first_two = set(range(6))
@@ -99,61 +101,58 @@ def _decomposition_counts(cfg: ModulusConfig) -> tuple[int, int, int]:
     return len(col3_choices), len(col4_sets), len(fifth_column_candidates(cfg))
 
 
-def _build_state(cfg: ModulusConfig, horizon: int, node_budget: int) -> _SharedState:
-    heads = enumerate_heads_general(cfg, column_count=5, node_budget=node_budget)
+
+
+def _census(
+    m: int, horizon: int, protocols: tuple[str, ...], node_budget: int
+) -> tuple[CensusReport, ...]:
+    for protocol in protocols:
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
+    cfg = ModulusConfig(m)
+    if horizon < HEAD_COLUMNS:
+        raise ValueError(f"horizon {horizon} is shorter than the {HEAD_COLUMNS} head columns")
+    heads = enumerate_heads_general(cfg, column_count=HEAD_COLUMNS, node_budget=node_budget)
     groups = dedup_heads(heads)
-    extensions: dict[int, Partition | None] = {}
-    for group in groups:
-        rep = group.representative
-        try:
-            extensions[rep.choice_id] = greedy_extend(cfg, rep.columns, horizon)
-        except (CollisionError, NegativeError):
-            extensions[rep.choice_id] = None
-    std = standard_partition(cfg, horizon)
-    std_equivalent: list[int] = []
-    for group in groups:
-        ext = extensions[group.representative.choice_id]
-        if ext is not None and equivalent_up_to(ext, std, horizon) is not None:
-            std_equivalent.extend(group.member_ids)
-    return _SharedState(cfg, horizon, heads, groups, extensions, tuple(sorted(std_equivalent)))
-
-
-def _project(state: _SharedState, protocol: str) -> CensusReport:
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
-    selected = [
-        g for g in state.groups if protocol == "include-standard" or not g.is_standard
-    ]
-    alive: list[tuple[int, Partition]] = []
-    dead: list[int] = []
-    for group in selected:
-        rep_id = group.representative.choice_id
-        ext = state.extensions[rep_id]
-        if ext is None:
-            dead.append(rep_id)
-        else:
-            alive.append((rep_id, ext))
-    class_indices = classify([ext for _, ext in alive], state.horizon)
-    class_members = tuple(
-        tuple(alive[i][0] for i in members) for members in class_indices
+    std_head = tuple(standard_column(cfg, n) for n in range(1, HEAD_COLUMNS + 1))
+    *roots, std_root = lockstep_classes(
+        cfg, [g.representative.columns for g in groups] + [std_head], horizon
     )
-    m5 = state.cfg.m == 5
-    return CensusReport(
-        m=state.cfg.m,
-        horizon=state.horizon,
-        protocol=protocol,
-        heads=len(state.heads),
-        statements=count_statements(state.heads),
-        dedup_groups=len(state.groups),
-        group_members=tuple(g.member_ids for g in state.groups),
-        representatives=len(selected),
-        non_extendable=tuple(dead),
-        classes=len(class_indices),
-        class_members=class_members,
-        standard_equivalent=state.standard_equivalent,
-        decompositions=_decomposition_counts(state.cfg) if m5 else None,
-        partition_numbers=tuple(sorted(partition_numbering(state.groups).items())) if m5 else None,
-    )
+    std_equivalent = tuple(sorted(
+        head_id
+        for group, root in zip(groups, roots)
+        if root is not None and root == std_root
+        for head_id in group.member_ids
+    ))
+    m5 = cfg.m == 5
+    reports = []
+    for protocol in protocols:
+        selected = [
+            (group.representative.choice_id, root)
+            for group, root in zip(groups, roots)
+            if protocol == "include-standard" or not group.is_standard
+        ]
+        classes: dict[int, list[int]] = {}
+        for rep_id, root in selected:
+            if root is not None:
+                classes.setdefault(root, []).append(rep_id)
+        reports.append(CensusReport(
+            m=cfg.m,
+            horizon=horizon,
+            protocol=protocol,
+            heads=len(heads),
+            statements=count_statements(heads),
+            dedup_groups=len(groups),
+            group_members=tuple(g.member_ids for g in groups),
+            representatives=len(selected),
+            non_extendable=tuple(rep_id for rep_id, root in selected if root is None),
+            classes=len(classes),
+            class_members=tuple(tuple(members) for members in classes.values()),
+            standard_equivalent=std_equivalent,
+            decompositions=_decomposition_counts(cfg) if m5 else None,
+            partition_numbers=tuple(sorted(partition_numbering(groups).items())) if m5 else None,
+        ))
+    return tuple(reports)
 
 
 def run_census(
@@ -162,9 +161,13 @@ def run_census(
     protocol: str = "exclude-standard",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CensusReport:
-    """Census for one modulus under one dedup protocol."""
-    state = _build_state(ModulusConfig(m), horizon, node_budget)
-    return _project(state, protocol)
+    """Census for one modulus under one dedup protocol.
+
+    Raises ValueError for an unknown protocol or a horizon shorter than the
+    head, ResourceError when head enumeration exceeds node_budget.
+    """
+    (report,) = _census(m, horizon, (protocol,), node_budget)
+    return report
 
 
 def run_census_both(
@@ -172,6 +175,6 @@ def run_census_both(
     horizon: int = DEFAULT_HORIZON,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[CensusReport, CensusReport]:
-    """Census under both protocols, sharing the enumeration and extensions."""
-    state = _build_state(ModulusConfig(m), horizon, node_budget)
-    return _project(state, "exclude-standard"), _project(state, "include-standard")
+    """Census under both protocols, sharing the enumeration and the lockstep run."""
+    excl, incl = _census(m, horizon, PROTOCOLS, node_budget)
+    return excl, incl

@@ -109,6 +109,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     head = _resolve_head(args.head, args.m, _node_budget())
+    if args.horizon < len(head.columns):
+        raise ValueError(f"horizon {args.horizon} is shorter than the {len(head.columns)} head columns")
     p = greedy_extend(head.cfg, head.columns, args.horizon)
     diffs = diff_vs_standard(p, args.horizon)
     for rank, std_col, got_col in diffs:

@@ -15,8 +15,8 @@ class ModulusConfig:
     m: int
 
     def __post_init__(self):
-        if self.m < 3 or self.m % 2 == 0:
-            raise ValueError(f"modulus must be an odd integer >= 3, got {self.m}")
+        if self.m < 5 or self.m % 2 == 0:
+            raise ValueError(f"modulus must be an odd integer >= 5, got {self.m}")
 
     @property
     def t(self) -> int:
@@ -43,8 +43,7 @@ class RunConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.m < 5 or self.m % 2 == 0:
-            raise ValueError(f"modulus must be an odd integer >= 5, got {self.m}")
+        ModulusConfig(self.m)  # the one place that bounds the modulus
         if not self.horizon >= self.columns_shown >= 1:
             raise ValueError(
                 f"need horizon >= columns_shown >= 1, got {self.horizon} and {self.columns_shown}"

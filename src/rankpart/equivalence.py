@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import ModulusConfig
-from .errors import CollisionError, HorizonError, NegativeError
-from .greedy import greedy_extend
-from .partition import Column, Partition, standard_column, standard_partition
+from .errors import HorizonError
+from .greedy import lockstep_classes
+from .partition import Column, Partition, standard_column
 
 
 @dataclass(frozen=True)
@@ -250,26 +250,20 @@ def signature_matches(p: Partition, horizon: int) -> list[tuple[int, int]]:
 def standard_equivalent_heads(heads: list, horizon: int) -> set[int]:
     """Ids of heads whose greedy extension is equivalent to the standard partition.
 
-    Heads sharing a union key share their tail, so only one extension per key
-    is computed; heads that do not extend to the horizon (forced collision)
-    are never equivalent.
+    The heads and the standard head of the same length run in lockstep (see
+    greedy.lockstep_classes); a head is standard-equivalent when it lands in
+    the standard head's class.  Heads that do not extend to the horizon
+    (forced collision) are never equivalent.  Heads with the standard union
+    merge with the standard head at the head's last rank even when that rank
+    exceeds horizon/2, so below horizon 10 the union alone decides.
     """
     if not heads:
         return set()
     cfg: ModulusConfig = heads[0].cfg
-    std = standard_partition(cfg, horizon)
-    verdict_by_key: dict[tuple[int, ...], bool] = {}
-    out: set[int] = set()
-    for pos, head in enumerate(heads, start=1):
-        head_id = head.choice_id if head.choice_id is not None else pos
-        key = head.union_key
-        if key not in verdict_by_key:
-            try:
-                ext = greedy_extend(cfg, head.columns, horizon)
-            except (CollisionError, NegativeError):
-                verdict_by_key[key] = False
-            else:
-                verdict_by_key[key] = equivalent_up_to(ext, std, horizon) is not None
-        if verdict_by_key[key]:
-            out.add(head_id)
-    return out
+    std_head = tuple(standard_column(cfg, n) for n in range(1, len(heads[0].columns) + 1))
+    *roots, std_root = lockstep_classes(cfg, [h.columns for h in heads] + [std_head], horizon)
+    return {
+        head.choice_id if head.choice_id is not None else pos
+        for pos, (head, root) in enumerate(zip(heads, roots), start=1)
+        if root is not None and root == std_root
+    }

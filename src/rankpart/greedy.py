@@ -6,6 +6,10 @@ for the last set's entry from the schedule: last = S(n) - (sum of the t
 picks).  The step either succeeds or fails loudly; there is no repair logic.
 A forced entry that is negative or already in use means the prefix simply
 does not extend at that rank.
+
+Because each step depends only on the rank and the set of used integers,
+`lockstep_classes` extends many prefixes side by side and merges those whose
+used sets meet, which sorts their extensions into equivalence classes.
 """
 from __future__ import annotations
 
@@ -104,6 +108,110 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
     builder = PartitionBuilder(cfg, columns)
     builder.extend_to(horizon)
     return builder.to_partition()
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    """splitmix64 finaliser: a fixed, well-spread 64-bit key for each integer."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class _SetKeys(dict):
+    """Memo of _mix64; the builders place mostly the same integers."""
+
+    def __missing__(self, x: int) -> int:
+        key = self[x] = _mix64(x)
+        return key
+
+
+def _merge_equal_states(
+    builders: list[PartitionBuilder | None], hashes: list[int], live: list[int], parent: list[int]
+) -> list[int]:
+    """Merge live builders whose used sets coincide; returns the survivors in order.
+
+    Builders are bucketed by set hash and a hit is confirmed by comparing the
+    used sets exactly, so a hash collision never merges anything.  The later
+    builder joins the earlier one's class and is dropped.
+    """
+    buckets: dict[int, list[int]] = {}
+    survivors = []
+    for i in live:
+        bucket = buckets.setdefault(hashes[i], [])
+        used = builders[i]._used
+        for j in bucket:
+            if builders[j]._used == used:
+                parent[i] = j
+                builders[i] = None
+                break
+        else:
+            bucket.append(i)
+            survivors.append(i)
+    return survivors
+
+
+def lockstep_classes(
+    cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
+) -> list[int | None]:
+    """Equivalence classes of the greedy extensions of equal-length prefixes.
+
+    Returns, for each prefix, the index of the first prefix in its class, or
+    None when the class's extension does not reach the horizon.  Two
+    extensions are equivalent at horizon H when their columns agree beyond
+    some rank N <= H/2 and their first N columns hold the same elements
+    (see equivalence.equivalent_up_to).
+
+    Greedy extension from rank n depends only on the set of used integers, so
+    builders that reach the same used set at the same rank n have identical
+    tails; with n <= H/2 that is exactly the equivalence above, and
+    conversely equivalent extensions share their used set at rank H/2.  The
+    builders are therefore stepped one rank at a time and, at the prefix
+    rank and at every rank up to H/2, merged when their used sets coincide.
+    A builder that hits a forced collision or a negative entry takes its
+    whole class with it.  Past H/2 only the surviving roots extend, to settle
+    which of them die before the horizon.
+
+    Raises ValueError when the prefixes differ in length or the horizon is
+    shorter than them, and InvariantError when a prefix is malformed.
+    """
+    builders: list[PartitionBuilder | None] = [PartitionBuilder(cfg, cols) for cols in prefixes]
+    if not builders:
+        return []
+    start = len(builders[0].columns)
+    if any(len(b.columns) != start for b in builders):
+        raise ValueError("lockstep extension needs prefixes of equal length")
+    if horizon < start:
+        raise ValueError(f"horizon {horizon} is shorter than the {start}-column prefixes")
+    key = _SetKeys().__getitem__
+    hashes = [sum(map(key, b._used)) & _MASK64 for b in builders]
+    parent = list(range(len(builders)))
+    dead: set[int] = set()
+    live = _merge_equal_states(builders, hashes, list(range(len(builders))), parent)
+    for _ in range(start + 1, horizon // 2 + 1):
+        stepped = []
+        for i in live:
+            try:
+                col = builders[i].extend_one()
+            except (CollisionError, NegativeError):
+                dead.add(i)
+                builders[i] = None
+                continue
+            hashes[i] = (hashes[i] + sum(map(key, col))) & _MASK64
+            stepped.append(i)
+        live = _merge_equal_states(builders, hashes, stepped, parent)
+    for i in live:
+        try:
+            builders[i].extend_to(horizon)
+        except (CollisionError, NegativeError):
+            dead.add(i)
+    roots: list[int] = []
+    for i, j in enumerate(parent):
+        roots.append(i if j == i else roots[j])  # merges always point to an earlier builder
+    return [None if r in dead else r for r in roots]
 
 
 def complete_head(

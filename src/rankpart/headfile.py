@@ -89,8 +89,8 @@ def parse_head_file(path: str | Path) -> Head:
     else:
         columns = _parse_text(content)
     width = len(columns[0])
-    if width < 2:
-        raise ParseError(f"columns need at least 2 entries, got {width}")
+    if width < 3:
+        raise ParseError(f"columns need at least 3 entries, got {width}")
     m = 2 * width - 1
     if declared_m is not None and declared_m != m:
         raise ParseError(f"declared m={declared_m} does not match column width {width}")

@@ -188,3 +188,23 @@ def test_missing_head_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "--head",
                        str(tmp_path / "absent.txt"), "--horizon", "8")
     assert code == 2
+
+
+def test_census_rejects_horizon_shorter_than_head(capsys):
+    code, out, err = run(capsys, "census", "--m", "5", "--horizon", "2")
+    assert code == 2 and out == ""
+    assert "horizon" in err
+    assert run(capsys, "census", "--m", "5", "--horizon", "5")[0] == 0
+
+
+def test_diff_rejects_horizon_shorter_than_head(capsys):
+    code, out, err = run(capsys, "diff", "--head", "8", "--horizon", "3")
+    assert code == 2 and out == ""
+    assert "horizon" in err
+    assert run(capsys, "diff", "--head", "8", "--horizon", "5")[0] == 0
+
+
+def test_census_rejects_modulus_three(capsys):
+    code, out, err = run(capsys, "census", "--m", "3", "--horizon", "64")
+    assert code == 2 and out == ""
+    assert "modulus" in err

@@ -1,0 +1,161 @@
+"""Lockstep frontier-state engine against the extend-everything reference.
+
+The reference census below extends every dedup representative to the
+horizon with greedy_extend and sorts the extensions with classify and
+equivalent_up_to, the way the census worked before the engine existed.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rankpart as rp
+import rankpart.greedy as greedy
+
+HORIZONS = (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 64, 256)
+
+
+@pytest.fixture(scope="module")
+def groups_by_m():
+    return {m: rp.dedup_heads(rp.enumerate_heads_general(rp.ModulusConfig(m))) for m in (5, 7, 9, 11)}
+
+
+def std_head(cfg: rp.ModulusConfig) -> tuple[tuple[int, ...], ...]:
+    return tuple(rp.standard_column(cfg, n) for n in range(1, 6))
+
+
+def reference_fields(groups: list[rp.DedupGroup], horizon: int, protocol: str) -> dict:
+    """The census fields the engine decides, computed by extending every representative."""
+    cfg = groups[0].representative.cfg
+    extensions = {}
+    for group in groups:
+        rep = group.representative
+        try:
+            extensions[rep.choice_id] = rp.greedy_extend(cfg, rep.columns, horizon)
+        except (rp.CollisionError, rp.NegativeError):
+            extensions[rep.choice_id] = None
+    std = rp.standard_partition(cfg, horizon)
+    std_equivalent = sorted(
+        head_id
+        for group in groups
+        if (ext := extensions[group.representative.choice_id]) is not None
+        and rp.equivalent_up_to(ext, std, horizon) is not None
+        for head_id in group.member_ids
+    )
+    selected = [
+        g.representative.choice_id
+        for g in groups
+        if protocol == "include-standard" or not g.is_standard
+    ]
+    alive = [i for i in selected if extensions[i] is not None]
+    classes = rp.classify([extensions[i] for i in alive], horizon)
+    return {
+        "representatives": len(selected),
+        "non_extendable": tuple(i for i in selected if extensions[i] is None),
+        "classes": len(classes),
+        "class_members": tuple(tuple(alive[k] for k in members) for members in classes),
+        "standard_equivalent": tuple(std_equivalent),
+    }
+
+
+def engine_fields(report: rp.CensusReport) -> dict:
+    return {key: getattr(report, key) for key in (
+        "representatives", "non_extendable", "classes", "class_members", "standard_equivalent",
+    )}
+
+
+@pytest.mark.parametrize("m", (5, 7, 9))
+def test_census_matches_extend_everything_reference(m, groups_by_m):
+    groups = groups_by_m[m]
+    for horizon in HORIZONS:
+        reports = rp.run_census_both(m, horizon)
+        for report in reports:
+            assert engine_fields(report) == reference_fields(groups, horizon, report.protocol), (
+                f"m={m} horizon={horizon} {report.protocol}"
+            )
+        assert rp.run_census(m, horizon, reports[1].protocol) == reports[1]
+
+
+def test_eleven_set_census_matches_reference(groups_by_m):
+    for horizon in (16, 64):
+        excl, incl = rp.run_census_both(11, horizon)
+        assert engine_fields(excl) == reference_fields(groups_by_m[11], horizon, excl.protocol)
+        assert engine_fields(incl) == reference_fields(groups_by_m[11], horizon, incl.protocol)
+
+
+def test_constant_hash_leaves_every_merge_to_the_exact_comparison(monkeypatch):
+    cases = [(m, h) for m in (5, 7) for h in (8, 12, 16, 64, 256)]
+    honest = {case: rp.run_census_both(*case) for case in cases}
+    heads36 = rp.enumerate_heads(rp.ModulusConfig(5))
+    honest_std = rp.standard_equivalent_heads(heads36, 256)
+    monkeypatch.setattr(greedy, "_mix64", lambda x: 0)
+    for case in cases:
+        assert rp.run_census_both(*case) == honest[case], case
+    assert rp.standard_equivalent_heads(heads36, 256) == honest_std == {1, 8, 15, 19, 26}
+
+
+def test_standard_head_joins_the_standard_union_at_rank_five():
+    cfg = rp.ModulusConfig(5)
+    head1 = rp.enumerate_heads(cfg)[0]
+    assert rp.lockstep_classes(cfg, [head1.columns, std_head(cfg)], 5) == [0, 0]
+    assert rp.lockstep_classes(cfg, [], 64) == []
+
+
+def test_dead_root_kills_its_class():
+    cfg = rp.ModulusConfig(7)
+    heads = rp.enumerate_heads_general(cfg)
+    dead, live = heads[9], heads[0]
+    roots = rp.lockstep_classes(cfg, [live.columns, dead.columns, dead.columns], 512)
+    assert roots == [0, None, None]
+
+
+def test_lockstep_rejects_short_horizon_and_ragged_prefixes():
+    cfg = rp.ModulusConfig(5)
+    head = std_head(cfg)
+    with pytest.raises(ValueError):
+        rp.lockstep_classes(cfg, [head], 4)
+    with pytest.raises(ValueError):
+        rp.lockstep_classes(cfg, [head, head[:4]], 64)
+    with pytest.raises(rp.InvariantError):
+        rp.lockstep_classes(cfg, [((0, 1, 2), (3, 4, 6))], 64)
+
+
+def _prefix_pool(m: int) -> list[tuple[tuple[int, ...], ...]]:
+    cfg = rp.ModulusConfig(m)
+    groups = rp.dedup_heads(rp.enumerate_heads_general(cfg))
+    return [g.representative.columns for g in groups] + [std_head(cfg)]
+
+
+POOLS = {m: _prefix_pool(m) for m in (5, 7)}
+
+
+@st.composite
+def prefix_subsets(draw):
+    m = draw(st.sampled_from((5, 7)))
+    chosen = draw(st.lists(st.sampled_from(range(len(POOLS[m]))), min_size=1, max_size=24))
+    return m, [POOLS[m][i] for i in chosen]
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_subsets(), st.integers(10, 256))
+def test_engine_classes_equal_classify(subset, horizon):
+    m, prefixes = subset
+    cfg = rp.ModulusConfig(m)
+    extensions = []
+    for cols in prefixes:
+        try:
+            extensions.append(rp.greedy_extend(cfg, cols, horizon))
+        except (rp.CollisionError, rp.NegativeError):
+            extensions.append(None)
+    alive = [i for i, ext in enumerate(extensions) if ext is not None]
+    expected = [[alive[k] for k in c] for c in rp.classify([extensions[i] for i in alive], horizon)]
+    roots = rp.lockstep_classes(cfg, prefixes, horizon)
+    got: dict[int, list[int]] = {}
+    for i, root in enumerate(roots):
+        if root is not None:
+            got.setdefault(root, []).append(i)
+    assert [i for i, root in enumerate(roots) if root is None] == [
+        i for i, ext in enumerate(extensions) if ext is None
+    ]
+    assert list(got.values()) == expected
+    assert all(root == members[0] for root, members in got.items())
