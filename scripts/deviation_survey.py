@@ -11,10 +11,9 @@ import sys
 
 from rankpart import (
     ModulusConfig,
-    dedup_heads,
     diff_vs_standard,
-    enumerate_heads,
     greedy_extend,
+    head_groups,
     partition_numbering,
     signature_matches,
 )
@@ -31,8 +30,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     cfg = ModulusConfig(5)
-    heads = enumerate_heads(cfg)
-    groups = dedup_heads(heads)
+    _, groups = head_groups(cfg)
     numbers = partition_numbering(groups)
     print(f"{'head':>4} {'partition':>9} {'class':>5} {'witness':>7}  first diffs")
     for group in groups:

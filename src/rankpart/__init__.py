@@ -18,6 +18,7 @@ from .enumeration import (
     enumerate_heads,
     enumerate_heads_general,
     fifth_column_candidates,
+    head_groups,
     partition_numbering,
     sum_decompositions,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "equivalent_up_to",
     "fifth_column_candidates",
     "greedy_extend",
+    "head_groups",
     "lockstep_classes",
     "parse_head_file",
     "partition_numbering",

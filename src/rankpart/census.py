@@ -1,10 +1,11 @@
 """Full enumeration census for one modulus: counts, dedup groups, classes.
 
-The census enumerates every five-column head and groups heads by union key.
-One builder per group representative, plus one for the standard head, then
-run in lockstep (greedy.lockstep_classes): every live builder is extended
-one rank at a time and, at rank 5 and at every rank up to H/2, builders
-whose used sets coincide are merged, the later one being dropped.
+The census enumerates every five-column head and groups heads by union key
+as the search finds them (enumeration.head_groups), without building a Head
+per head.  One builder per group representative, plus one for the standard
+head, then run in lockstep (greedy.lockstep_classes): every live builder is
+extended one rank at a time and, at rank 5 and at every rank up to H/2,
+builders whose used sets coincide are merged, the later one being dropped.
 
 That merge is exactly the equivalence at horizon H.  Greedy extension from
 rank n depends only on the set of integers used so far, so two builders with
@@ -30,14 +31,13 @@ standard partition and absorbs it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import (
-    count_statements,
-    dedup_heads,
-    enumerate_heads_general,
     fifth_column_candidates,
+    head_groups,
     partition_numbering,
     sum_decompositions,
 )
@@ -101,8 +101,6 @@ def _decomposition_counts(cfg: ModulusConfig) -> tuple[int, int, int]:
     return len(col3_choices), len(col4_sets), len(fifth_column_candidates(cfg))
 
 
-
-
 def _census(
     m: int, horizon: int, protocols: tuple[str, ...], node_budget: int
 ) -> tuple[CensusReport, ...]:
@@ -112,8 +110,7 @@ def _census(
     cfg = ModulusConfig(m)
     if horizon < HEAD_COLUMNS:
         raise ValueError(f"horizon {horizon} is shorter than the {HEAD_COLUMNS} head columns")
-    heads = enumerate_heads_general(cfg, column_count=HEAD_COLUMNS, node_budget=node_budget)
-    groups = dedup_heads(heads)
+    head_count, groups = head_groups(cfg, HEAD_COLUMNS, node_budget)
     std_head = tuple(standard_column(cfg, n) for n in range(1, HEAD_COLUMNS + 1))
     *roots, std_root = lockstep_classes(
         cfg, [g.representative.columns for g in groups] + [std_head], horizon
@@ -140,8 +137,8 @@ def _census(
             m=cfg.m,
             horizon=horizon,
             protocol=protocol,
-            heads=len(heads),
-            statements=count_statements(heads),
+            heads=head_count,
+            statements=head_count * math.factorial(cfg.set_count) ** HEAD_COLUMNS,
             dedup_groups=len(groups),
             group_members=tuple(g.member_ids for g in groups),
             representatives=len(selected),

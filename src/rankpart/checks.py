@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .census import run_census
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
-from .enumeration import dedup_heads, enumerate_heads
+from .enumeration import head_groups
 from .equivalence import SIGNATURES, signature_matches
 from .errors import InvariantError, RankPartError
 from .greedy import greedy_extend
@@ -25,8 +25,8 @@ from .reshuffle import (
     verify_sum_pattern,
 )
 
-# class tallies confirmed by full runs at horizon 4096
-KNOWN_CLASS_COUNTS = {5: 8, 7: 13, 9: 19, 11: 26}
+# class tallies confirmed by full runs at horizons 64 and 4096
+KNOWN_CLASS_COUNTS = {5: 8, 7: 13, 9: 19, 11: 26, 13: 34, 15: 43}
 
 INJECTIONS = ("sum-schedule", "swap")
 
@@ -107,8 +107,7 @@ def _check_greedy(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult
 
 
 def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
-    heads = enumerate_heads(cfg)
-    groups = dedup_heads(heads)
+    _, groups = head_groups(cfg)
     reps = [g.representative for g in groups if not g.is_standard]
     tally: dict[int, int] = {}
     for rep in reps:

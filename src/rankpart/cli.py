@@ -25,7 +25,7 @@ from .config import (
     ModulusConfig,
     RunConfig,
 )
-from .enumeration import Head, enumerate_heads, enumerate_heads_general
+from .enumeration import Head, enumerate_heads_general
 from .equivalence import diff_vs_standard
 from .errors import InvariantError, ParseError, RankPartError, ResourceError
 from .greedy import greedy_extend
@@ -50,23 +50,24 @@ def _node_budget() -> int:
     return value
 
 
-def _resolve_head(token: str, m_flag: int | None, node_budget: int) -> Head:
+def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int) -> Head:
+    """The head a head id or head file names; the horizon must cover its columns."""
     if token.isdigit():
         cfg = ModulusConfig(m_flag if m_flag is not None else 5)
-        if cfg.m == 5:
-            heads = enumerate_heads(cfg)
-        else:
-            heads = enumerate_heads_general(cfg, node_budget=node_budget)
+        heads = enumerate_heads_general(cfg, node_budget=node_budget)
         head_id = int(token)
         if not 1 <= head_id <= len(heads):
             raise ValueError(f"head id {head_id} outside 1..{len(heads)} for m={cfg.m}")
-        return heads[head_id - 1]
-    path = Path(token)
-    if not path.exists():
-        raise ValueError(f"head file not found: {token}")
-    head = parse_head_file(path)
-    if m_flag is not None and head.cfg.m != m_flag:
-        raise ValueError(f"head file has m={head.cfg.m}, but --m {m_flag} was given")
+        head = heads[head_id - 1]
+    else:
+        path = Path(token)
+        if not path.exists():
+            raise ValueError(f"head file not found: {token}")
+        head = parse_head_file(path)
+        if m_flag is not None and head.cfg.m != m_flag:
+            raise ValueError(f"head file has m={head.cfg.m}, but --m {m_flag} was given")
+    if horizon < len(head.columns):
+        raise ValueError(f"horizon {horizon} is shorter than the {len(head.columns)} head columns")
     return head
 
 
@@ -77,7 +78,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         run = RunConfig(m=cfg.m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
         p = standard_partition(cfg, run.horizon)
     else:
-        head = _resolve_head(args.head, args.m, budget)
+        head = _resolve_head(args.head, args.m, budget, args.horizon)
         cfg = head.cfg
         run = RunConfig(m=cfg.m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
         p = greedy_extend(cfg, head.columns, run.horizon)
@@ -108,9 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    head = _resolve_head(args.head, args.m, _node_budget())
-    if args.horizon < len(head.columns):
-        raise ValueError(f"horizon {args.horizon} is shorter than the {len(head.columns)} head columns")
+    head = _resolve_head(args.head, args.m, _node_budget(), args.horizon)
     p = greedy_extend(head.cfg, head.columns, args.horizon)
     diffs = diff_vs_standard(p, args.horizon)
     for rank, std_col, got_col in diffs:

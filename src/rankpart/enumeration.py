@@ -8,6 +8,18 @@ extension depends on the used-element pool alone, so heads with equal element
 unions share their entire tail.  That union is therefore the deduplication
 key.
 
+One depth-first search finds every head (`_search`).  It holds the used
+elements as an integer bitmask and fills each column from the list of values
+still free, pruning a branch as soon as the least sum of the next free values
+exceeds what the column has left; the last part of a column is forced.  The
+same routine writes a single total as distinct parts (`sum_decompositions`).
+Heads come out in lexicographic order of their columns and are numbered 1, 2,
+... in that order.  `head_groups` keys each head by its union bitmask as it
+is found and builds a Head only for the first of each group, so a census
+never holds one object per head (199 513 heads fall into 1 563 groups at
+m=13); `enumerate_heads_general` builds them all, and `dedup_heads` groups a
+list of heads that a caller supplies.
+
 For m=5 the search is tiny: columns 1 and 2 are forced to {0,1,2} and
 {3,4,5}, column 3 has two choices, column 4 six, and 36 heads survive in
 total.  Heads are numbered 1..36 in lexicographic order of their columns,
@@ -16,6 +28,7 @@ which lays them out as six groups of six sharing (column 3, column 4).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .config import DEFAULT_NODE_BUDGET, ModulusConfig
@@ -66,34 +79,86 @@ class _Budget:
             raise ResourceError(f"enumeration exceeded node budget of {self.limit}")
 
 
-def _decompose(
-    total: int,
+def _mask(values) -> int:
+    """Bitmask with bit x set for every distinct value x."""
+    return sum(1 << x for x in set(values))
+
+
+def _search(
+    totals: list[int],
     size: int,
-    min_value: int,
-    excluded: frozenset[int],
-    budget: _Budget | None,
-) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    mask: int,
+    budget: _Budget,
+    leaf: Callable[[int, list[tuple[int, ...]], list[int]], None],
+) -> None:
+    """Fill one column per total with `size` distinct values, none set in mask.
 
-    def rec(lo: int, rem: int, k: int) -> None:
-        if budget is not None:
-            budget.spend()
-        if k == 0:
-            if rem == 0:
-                out.append(tuple(prefix))
-            return
-        v = lo
-        # v + (v+1) + ... + (v+k-1) is the least the remaining k slots can sum to
-        while v * k + k * (k - 1) // 2 <= rem:
-            if v not in excluded:
-                prefix.append(v)
-                rec(v + 1, rem - v, k - 1)
-                prefix.pop()
+    Columns are filled left to right, each avoiding the mask and every
+    earlier column, and each column's parts come out in increasing,
+    lexicographic order.  Every completed choice calls leaf(union_mask,
+    columns, parts): columns holds the earlier columns as tuples, shared by
+    every choice that extends them, and parts the last column's parts.  Both
+    lists are reused, so a leaf that keeps them must copy them.
+
+    A column draws its parts from the list of free values.  A part at index j
+    of that list with k parts still to place needs free[j] + ... + free[j+k-1]
+    <= the remaining sum, read off prefix sums; the first j that fails ends
+    the loop.  The last part is forced to the remaining sum and must be free;
+    the bound on the part before it already makes it at least the next free
+    value, so parts increase.  Every call of `fill` is one node and spends one
+    unit of the budget.
+    """
+    columns: list[tuple[int, ...]] = []
+    last = len(totals) - 1
+    spend = budget.spend
+
+    def column(c: int, mask: int) -> None:
+        total = totals[c]
+        parts: list[int] = []
+        # A part is at most the total less the size-1 least free values.
+        free: list[int] = []
+        pre = [0]
+        limit = total
+        v = 0
+        while v <= limit:
+            if not mask >> v & 1:
+                free.append(v)
+                pre.append(pre[-1] + v)
+                if len(free) == size - 1:
+                    limit = total - pre[-1]
             v += 1
+        n = len(free)
 
-    rec(min_value, total, size)
-    return out
+        def fill(i: int, rem: int, k: int, mask: int) -> None:
+            spend()
+            if k == 1:
+                if not mask >> rem & 1:
+                    parts.append(rem)
+                    if c == last:
+                        leaf(mask | 1 << rem, columns, parts)
+                    else:
+                        columns.append(tuple(parts))
+                        column(c + 1, mask | 1 << rem)
+                        columns.pop()
+                    parts.pop()
+                return
+            j = i
+            while j + k <= n and pre[j + k] - pre[j] <= rem:
+                v = free[j]
+                parts.append(v)
+                fill(j + 1, rem - v, k - 1, mask | 1 << v)
+                parts.pop()
+                j += 1
+
+        fill(0, total, size, mask)
+
+    column(0, mask)
+
+
+def _head_totals(cfg: ModulusConfig, column_count: int) -> list[int]:
+    if column_count < 1:
+        raise ValueError(f"column count must be >= 1, got {column_count}")
+    return [sum_schedule(cfg, c) for c in range(1, column_count + 1)]
 
 
 def sum_decompositions(
@@ -107,7 +172,8 @@ def sum_decompositions(
     Parameters
     ----------
     total, size, min_value : int
-        Target sum, number of parts, and lower bound for every part.
+        Target sum, number of parts, and lower bound for every part; the
+        bound must be non-negative.
     excluded : set of int
         Values that must not appear as parts.
 
@@ -118,7 +184,14 @@ def sum_decompositions(
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return _decompose(total, size, min_value, frozenset(excluded), None)
+    if min_value < 0:
+        raise ValueError(f"min_value must be >= 0, got {min_value}")
+    if total < min_value:
+        return []
+    out: list[tuple[int, ...]] = []
+    mask = (1 << min_value) - 1 | _mask(x for x in excluded if 0 <= x <= total)
+    _search([total], size, mask, _Budget(math.inf), lambda _, __, parts: out.append(tuple(parts)))
+    return out
 
 
 def fifth_column_candidates(cfg: ModulusConfig) -> list[tuple[int, ...]]:
@@ -150,25 +223,12 @@ def enumerate_heads_general(
 
     Raises ResourceError when the search visits more nodes than node_budget.
     """
-    if column_count < 1:
-        raise ValueError(f"column count must be >= 1, got {column_count}")
-    budget = _Budget(node_budget)
     heads: list[Head] = []
-    cols: list[tuple[int, ...]] = []
-    used: set[int] = set()
 
-    def rec(c: int) -> None:
-        if c > column_count:
-            heads.append(Head(cfg, tuple(cols), choice_id=len(heads) + 1))
-            return
-        for d in _decompose(sum_schedule(cfg, c), cfg.set_count, 0, frozenset(used), budget):
-            cols.append(d)
-            used.update(d)
-            rec(c + 1)
-            used.difference_update(d)
-            cols.pop()
+    def leaf(_: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
+        heads.append(Head(cfg, (*columns, tuple(parts)), choice_id=len(heads) + 1))
 
-    rec(1)
+    _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
     return heads
 
 
@@ -228,6 +288,40 @@ def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
         )
     out.sort(key=lambda g: g.representative.choice_id)
     return out
+
+
+def head_groups(
+    cfg: ModulusConfig,
+    column_count: int = 5,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[int, list[DedupGroup]]:
+    """Head count and union groups of every head, without a Head per head.
+
+    Heads are numbered 1, 2, ... in the order of enumerate_heads_general and
+    keyed by the bitmask of their union as the search finds them; only the
+    first head of each group is built.  The result equals
+    (len(heads), dedup_heads(heads)) for heads = enumerate_heads_general(cfg,
+    column_count), at the same node budget.
+    """
+    found: dict[int, tuple[tuple[tuple[int, ...], ...], list[int]]] = {}
+    count = 0
+
+    def leaf(mask: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
+        nonlocal count
+        count += 1
+        group = found.get(mask)
+        if group is None:
+            found[mask] = ((*columns, tuple(parts)), [count])
+        else:
+            group[1].append(count)
+
+    _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
+    std_mask = _mask(x for n in range(1, column_count + 1) for x in standard_column(cfg, n))
+    groups = [
+        DedupGroup(Head(cfg, columns, choice_id=ids[0]), tuple(ids), key == std_mask)
+        for key, (columns, ids) in found.items()
+    ]
+    return count, groups
 
 
 def partition_numbering(groups: list[DedupGroup]) -> dict[int, int]:

@@ -17,6 +17,7 @@ variant triple entrywise.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,13 +65,15 @@ class ExceptionFamily:
         k = q.bit_length() - 1
         return k if k >= self.k_min else None
 
-    def ranks_up_to(self, limit: int) -> list[int]:
-        out = []
+    def positions_up_to(self, limit: int) -> Iterator[tuple[int, int]]:
+        """(k, rank) for every family rank up to limit, in increasing order."""
         k = self.k_min
-        while self.rank_at(k) <= limit:
-            out.append(self.rank_at(k))
+        while (rank := self.rank_at(k)) <= limit:
+            yield k, rank
             k += 1
-        return out
+
+    def ranks_up_to(self, limit: int) -> list[int]:
+        return [rank for _, rank in self.positions_up_to(limit)]
 
     def standard_at(self, k: int) -> Column:
         return tuple(c * 2**k + d for c, d in self.standard)
@@ -202,16 +205,6 @@ def diff_vs_standard(p: Partition, horizon: int) -> list[tuple[int, Column, Colu
     ]
 
 
-def _family_rank_map(sig: ClassSignature, horizon: int) -> dict[int, tuple[ExceptionFamily, int]]:
-    ranks: dict[int, tuple[ExceptionFamily, int]] = {}
-    for fam in sig.families:
-        k = fam.k_min
-        while fam.rank_at(k) <= horizon:
-            ranks[fam.rank_at(k)] = (fam, k)
-            k += 1
-    return ranks
-
-
 def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | None:
     """Last rank at which p breaks the signature's pattern, or None on failure.
 
@@ -223,8 +216,9 @@ def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | 
     _require_stored(p, horizon)
     std = _std_columns(p.cfg, horizon)
     expected = list(std)
-    for fam, k in _family_rank_map(sig, horizon).values():
-        expected[fam.rank_at(k) - 1] = fam.variant_at(k)
+    for fam in sig.families:
+        for k, rank in fam.positions_up_to(horizon):
+            expected[rank - 1] = fam.variant_at(k)
     last_bad = 0
     for n in range(1, horizon + 1):
         if p.columns[n - 1] != expected[n - 1]:

@@ -66,3 +66,41 @@ def greedy_columns(
         used.add(last)
         columns.append(tuple(picked) + (last,))
     return columns
+
+
+def head_columns(m: int, column_count: int = 5) -> list[tuple[tuple[int, ...], ...]]:
+    """Every head in lexicographic column order, by a plain set-based search.
+
+    Each column walks its smallest part upward while v + (v+1) + ... +
+    (v+k-1) still fits the remaining sum, skipping values already used, and
+    stops at the exact total; no bitmask, free list or forced last part.
+    """
+    size = (m - 1) // 2 + 1
+    heads: list[tuple[tuple[int, ...], ...]] = []
+    cols: list[tuple[int, ...]] = []
+    used: set[int] = set()
+
+    def parts(lo: int, rem: int, k: int, prefix: tuple[int, ...]):
+        if k == 0:
+            if rem == 0:
+                yield prefix
+            return
+        v = lo
+        while v * k + k * (k - 1) // 2 <= rem:
+            if v not in used:
+                yield from parts(v + 1, rem - v, k - 1, prefix + (v,))
+            v += 1
+
+    def column(c: int) -> None:
+        if c > column_count:
+            heads.append(tuple(cols))
+            return
+        for col in list(parts(0, schedule(m, c), size, ())):
+            cols.append(col)
+            used.update(col)
+            column(c + 1)
+            used.difference_update(col)
+            cols.pop()
+
+    column(1)
+    return heads

@@ -204,6 +204,13 @@ def test_diff_rejects_horizon_shorter_than_head(capsys):
     assert run(capsys, "diff", "--head", "8", "--horizon", "5")[0] == 0
 
 
+def test_generate_rejects_horizon_shorter_than_head(capsys):
+    code, out, err = run(capsys, "generate", "--head", "8", "--horizon", "3", "--show", "3")
+    assert code == 2 and out == ""
+    assert "horizon" in err
+    assert run(capsys, "generate", "--head", "8", "--horizon", "5", "--show", "3")[0] == 0
+
+
 def test_census_rejects_modulus_three(capsys):
     code, out, err = run(capsys, "census", "--m", "3", "--horizon", "64")
     assert code == 2 and out == ""

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankpart as rp
+import rankpart.enumeration as enumeration
 from rankpart.errors import ResourceError
 
-from oracles import decomposition_table
+from oracles import decomposition_table, head_columns
 
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
@@ -247,3 +248,62 @@ def test_dedup_accepts_unnumbered_heads(heads36):
     anon = [rp.Head(M5, h.columns) for h in heads36]
     groups = rp.dedup_heads(anon)
     assert len(groups) == 21
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
+def test_head_groups_match_dedup_of_every_head(m):
+    cfg = rp.ModulusConfig(m)
+    heads = rp.enumerate_heads_general(cfg)
+    assert [h.columns for h in heads] == head_columns(m)
+    count, groups = rp.head_groups(cfg)
+    assert count == len(heads)
+    got = [(g.representative, g.member_ids, g.is_standard) for g in groups]
+    want = [(g.representative, g.member_ids, g.is_standard) for g in rp.dedup_heads(heads)]
+    assert got == want
+    assert sum(g.is_standard for g in groups) == 1
+
+
+def count_nodes(monkeypatch, search) -> int:
+    spent = []
+    spend = enumeration._Budget.spend
+
+    def counting(self):
+        spent.append(None)
+        spend(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration._Budget, "spend", counting)
+        search()
+    return len(spent)
+
+
+@pytest.mark.parametrize("m, nodes", [(5, 77), (7, 615), (9, 5447)])
+def test_search_node_counts(monkeypatch, m, nodes):
+    cfg = rp.ModulusConfig(m)
+    assert count_nodes(monkeypatch, lambda: rp.head_groups(cfg)) == nodes
+    assert count_nodes(monkeypatch, lambda: rp.enumerate_heads_general(cfg)) == nodes
+
+
+def test_node_budget_is_spent_once_per_node(monkeypatch):
+    nodes = count_nodes(monkeypatch, lambda: rp.enumerate_heads_general(M7))
+    assert nodes > 365
+    for search in (rp.enumerate_heads_general, rp.head_groups):
+        search(M7, node_budget=nodes)
+        with pytest.raises(ResourceError, match=f"node budget of {nodes - 1}"):
+            search(M7, node_budget=nodes - 1)
+
+
+def test_head_groups_short_prefix_and_guards():
+    count, (group,) = rp.head_groups(M5, column_count=2)
+    assert count == 1 and group.member_ids == (1,) and group.is_standard
+    assert group.representative.columns == ((0, 1, 2), (3, 4, 5))
+    with pytest.raises(ValueError):
+        rp.head_groups(M5, column_count=0)
+
+
+def test_decomposition_bounds():
+    assert rp.sum_decompositions(3, 2, min_value=9) == []
+    assert rp.sum_decompositions(-4, 2) == []
+    assert rp.sum_decompositions(9, 2, excluded={-1, 0, 40}) == [(1, 8), (2, 7), (3, 6), (4, 5)]
+    with pytest.raises(ValueError):
+        rp.sum_decompositions(10, 2, min_value=-1)

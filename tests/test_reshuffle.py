@@ -98,6 +98,33 @@ def test_swap_preserves_elements_and_localizes_damage(a, b):
         assert broken == ()
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 64)),
+    st.tuples(st.integers(1, 3), st.integers(1, 64)),
+)
+def test_swap_twice_restores_the_partition(a, b):
+    if a == b:
+        return
+    p = rp.standard_partition(M5, 64)
+    spec = rp.SwapSpec(a, b)
+    q, _ = rp.swap_pair(p, spec)
+    r, broken = rp.swap_pair(q, spec)
+    assert r.columns == p.columns
+    assert broken == ()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 256), st.data())
+def test_families_on_random_k_keep_the_pattern(horizon, data):
+    p = rp.standard_partition(M5, horizon)
+    k_i = data.draw(st.integers(0, horizon // 6), label="k_i")
+    k_ii = data.draw(st.integers(0, (horizon - 4) // 6), label="k_ii")
+    for out in (rp.reshuffle_family_i(p, k_i), rp.reshuffle_family_ii(p, k_ii)):
+        assert rp.verify_sum_pattern(out, horizon)
+        out.validate()
+
+
 def test_family_i_first_exchange(std_deep):
     out = rp.reshuffle_family_i(std_deep, 1)
     assert out.column(4) == (11, 9, 12)
