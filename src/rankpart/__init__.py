@@ -48,6 +48,7 @@ from .greedy import PartitionBuilder, complete_head, greedy_extend, lockstep_cla
 from .headfile import parse_head_file, serialize_head
 from .partition import (
     Partition,
+    broken_ranks,
     residue_set_index,
     standard_column,
     standard_partition,
@@ -55,7 +56,6 @@ from .partition import (
 )
 from .reshuffle import (
     SwapSpec,
-    broken_ranks,
     reshuffle_family_i,
     reshuffle_family_ii,
     swap_pair,

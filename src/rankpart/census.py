@@ -42,7 +42,7 @@ from .enumeration import (
     sum_decompositions,
 )
 from .greedy import lockstep_classes
-from .partition import standard_column, sum_schedule
+from .partition import standard_partition, sum_schedule
 
 PROTOCOLS = ("exclude-standard", "include-standard")
 HEAD_COLUMNS = 5
@@ -111,7 +111,7 @@ def _census(
     if horizon < HEAD_COLUMNS:
         raise ValueError(f"horizon {horizon} is shorter than the {HEAD_COLUMNS} head columns")
     head_count, groups = head_groups(cfg, HEAD_COLUMNS, node_budget)
-    std_head = tuple(standard_column(cfg, n) for n in range(1, HEAD_COLUMNS + 1))
+    std_head = standard_partition(cfg, HEAD_COLUMNS).columns
     *roots, std_root = lockstep_classes(
         cfg, [g.representative.columns for g in groups] + [std_head], horizon
     )

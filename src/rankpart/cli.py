@@ -73,15 +73,10 @@ def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int
 
 def cmd_generate(args: argparse.Namespace) -> int:
     budget = _node_budget()
-    if args.head == "standard":
-        cfg = ModulusConfig(args.m if args.m is not None else 5)
-        run = RunConfig(m=cfg.m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
-        p = standard_partition(cfg, run.horizon)
-    else:
-        head = _resolve_head(args.head, args.m, budget, args.horizon)
-        cfg = head.cfg
-        run = RunConfig(m=cfg.m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
-        p = greedy_extend(cfg, head.columns, run.horizon)
+    head = None if args.head == "standard" else _resolve_head(args.head, args.m, budget, args.horizon)
+    cfg = head.cfg if head else ModulusConfig(args.m if args.m is not None else 5)
+    run = RunConfig(m=cfg.m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
+    p = greedy_extend(cfg, head.columns, run.horizon) if head else standard_partition(cfg, run.horizon)
     sys.stdout.write(render_partition(p, run.columns_shown, run.fmt))
     return 0
 

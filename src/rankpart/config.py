@@ -40,7 +40,6 @@ class RunConfig:
     horizon: int = DEFAULT_HORIZON
     columns_shown: int = DEFAULT_COLUMNS_SHOWN
     fmt: str = "text"
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         ModulusConfig(self.m)  # the one place that bounds the modulus
@@ -50,8 +49,6 @@ class RunConfig:
             )
         if self.fmt not in ("text", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.node_budget < 1:
-            raise ValueError("node budget must be positive")
 
     @property
     def modulus(self) -> ModulusConfig:

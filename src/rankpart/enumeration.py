@@ -32,8 +32,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .config import DEFAULT_NODE_BUDGET, ModulusConfig
-from .errors import InvariantError, ResourceError
-from .partition import standard_column, sum_schedule
+from .errors import ResourceError
+from .partition import check_columns, standard_partition, sum_schedule
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,7 @@ class Head:
         return tuple(sorted(x for col in self.columns for x in col))
 
     def validate(self) -> None:
-        width = self.cfg.set_count
-        seen: set[int] = set()
-        for idx, col in enumerate(self.columns, start=1):
-            if len(col) != width:
-                raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
-            want = sum_schedule(self.cfg, idx)
-            if sum(col) != want:
-                raise InvariantError(f"column {idx} sums to {sum(col)}, schedule wants {want}")
-            for x in col:
-                if x < 0:
-                    raise InvariantError(f"column {idx} holds negative element {x}")
-                if x in seen:
-                    raise InvariantError(f"element {x} appears more than once (column {idx})")
-                seen.add(x)
+        check_columns(self.cfg, self.columns)
 
 
 class _Budget:
@@ -272,10 +259,8 @@ def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
     if not heads:
         return []
     cfg = heads[0].cfg
-    column_count = len(heads[0].columns)
-    std_key = tuple(
-        sorted(x for n in range(1, column_count + 1) for x in standard_column(cfg, n))
-    )
+    std = standard_partition(cfg, len(heads[0].columns))
+    std_key = tuple(sorted(x for col in std.columns for x in col))
     out = []
     for key, members in groups.items():
         members.sort(key=lambda h: h.choice_id)
@@ -316,7 +301,7 @@ def head_groups(
             group[1].append(count)
 
     _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
-    std_mask = _mask(x for n in range(1, column_count + 1) for x in standard_column(cfg, n))
+    std_mask = _mask(x for col in standard_partition(cfg, column_count).columns for x in col)
     groups = [
         DedupGroup(Head(cfg, columns, choice_id=ids[0]), tuple(ids), key == std_mask)
         for key, (columns, ids) in found.items()

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .config import ModulusConfig
 from .errors import HorizonError
 from .greedy import lockstep_classes
-from .partition import Column, Partition, standard_column
+from .partition import Column, Partition, standard_partition
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ SIGNATURES: dict[int, ClassSignature] = {
 
 @lru_cache(maxsize=8)
 def _std_columns(cfg: ModulusConfig, horizon: int) -> tuple[Column, ...]:
-    return tuple(standard_column(cfg, n) for n in range(1, horizon + 1))
+    return standard_partition(cfg, horizon).columns
 
 
 def _require_stored(p: Partition, horizon: int) -> None:
@@ -254,7 +254,7 @@ def standard_equivalent_heads(heads: list, horizon: int) -> set[int]:
     if not heads:
         return set()
     cfg: ModulusConfig = heads[0].cfg
-    std_head = tuple(standard_column(cfg, n) for n in range(1, len(heads[0].columns) + 1))
+    std_head = standard_partition(cfg, len(heads[0].columns)).columns
     *roots, std_root = lockstep_classes(cfg, [h.columns for h in heads] + [std_head], horizon)
     return {
         head.choice_id if head.choice_id is not None else pos

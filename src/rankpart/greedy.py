@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 
 from .config import ModulusConfig
 from .errors import CollisionError, InvariantError, NegativeError
-from .partition import Column, Partition, sum_schedule
+from .partition import Column, Partition, check_columns, sum_schedule
 
 
 class PartitionBuilder:
@@ -30,19 +30,7 @@ class PartitionBuilder:
     def __init__(self, cfg: ModulusConfig, columns: Iterable[Sequence[int]] = ()):
         self.cfg = cfg
         self.columns: list[Column] = [tuple(col) for col in columns]
-        self._used: set[int] = set()
-        for idx, col in enumerate(self.columns, start=1):
-            if len(col) != cfg.set_count:
-                raise InvariantError(f"column {idx} has {len(col)} entries, expected {cfg.set_count}")
-            want = sum_schedule(cfg, idx)
-            if sum(col) != want:
-                raise InvariantError(f"column {idx} sums to {sum(col)}, schedule wants {want}")
-            for x in col:
-                if x < 0:
-                    raise InvariantError(f"column {idx} holds negative element {x}")
-                if x in self._used:
-                    raise InvariantError(f"element {x} appears more than once (column {idx})")
-                self._used.add(x)
+        self._used = check_columns(cfg, self.columns)
         self._cursor = 0
         self._advance_cursor()
 

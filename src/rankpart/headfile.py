@@ -47,6 +47,11 @@ def _parse_text(content: str) -> RawColumns:
     return columns
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(content: str) -> tuple[RawColumns, int | None]:
     try:
         doc = json.loads(content)
@@ -55,7 +60,7 @@ def _parse_json(content: str) -> tuple[RawColumns, int | None]:
     if not isinstance(doc, dict) or "columns" not in doc:
         raise ParseError("JSON head must be an object with a 'columns' key")
     declared_m = doc.get("m")
-    if declared_m is not None and not isinstance(declared_m, int):
+    if declared_m is not None and not _is_int(declared_m):
         raise ParseError("'m' must be an integer")
     raw = doc["columns"]
     if not isinstance(raw, list) or not raw:
@@ -66,7 +71,7 @@ def _parse_json(content: str) -> tuple[RawColumns, int | None]:
         if not isinstance(col, list):
             raise ParseError(f"column {idx} is not a list")
         for x in col:
-            if x is not None and not isinstance(x, int):
+            if x is not None and not _is_int(x):
                 raise ParseError(f"column {idx} holds a non-integer entry {x!r}")
         if width is None:
             width = len(col)

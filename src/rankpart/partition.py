@@ -15,9 +15,16 @@ values (t+1)(n-1) - floor(n/2) + i (i = 1..t) into the first t sequences and
 m(n-1) into the last.  Membership in that arrangement is a residue test:
 sequence i < t+1 holds the numbers congruent to i or t+i mod m, and the last
 sequence holds the multiples of m.  We call it the standard partition.
+
+The invariants of a column prefix also live here, once each, and every other
+module calls them: `check_columns` checks width, non-negative and distinct
+elements and the schedule sums, `broken_ranks` is the one scan of column sums
+against the schedule, and `standard_partition` builds every standard column
+tuple.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .config import ModulusConfig
@@ -90,33 +97,57 @@ class Partition:
     def validate(self, require_sums: bool = True) -> None:
         """Check structural invariants, raising InvariantError on the first failure.
 
-        Checks column width, non-negativity, global distinctness, prefix
-        completeness (every integer below the smallest last-rank entry must
-        appear), and, unless require_sums is false, conformity of every
-        column sum to the schedule.  Sum checking is optional because swap
-        operations legitimately pass through sum-broken intermediate states.
+        Runs check_columns, then checks prefix completeness: every integer
+        below the smallest last-rank entry must appear.  Sum checking is
+        optional because swap operations legitimately pass through
+        sum-broken intermediate states.
         """
-        width = self.cfg.set_count
-        seen: set[int] = set()
-        for idx, col in enumerate(self.columns, start=1):
-            if len(col) != width:
-                raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
-            for x in col:
-                if x < 0:
-                    raise InvariantError(f"column {idx} holds negative element {x}")
-                if x in seen:
-                    raise InvariantError(f"element {x} appears more than once (column {idx})")
-                seen.add(x)
-            if require_sums:
-                want = sum_schedule(self.cfg, idx)
-                got = sum(col)
-                if got != want:
-                    raise InvariantError(f"column {idx} sums to {got}, schedule wants {want}")
+        seen = check_columns(self.cfg, self.columns, require_sums)
         if self.columns:
             bound = min(self.columns[-1])
             missing = next((x for x in range(bound) if x not in seen), None)
             if missing is not None:
                 raise InvariantError(f"prefix incomplete: {missing} missing below {bound}")
+
+
+def check_columns(
+    cfg: ModulusConfig, columns: Iterable[Sequence[int]], require_sums: bool = True
+) -> set[int]:
+    """Check a column prefix and return the set of elements it uses.
+
+    Raises InvariantError on the first column with the wrong width, a
+    negative element or an element used before, or, unless require_sums is
+    false, a sum off the schedule.
+    """
+    width = cfg.set_count
+    seen: set[int] = set()
+    for idx, col in enumerate(columns, start=1):
+        if len(col) != width:
+            raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
+        for x in col:
+            if x < 0:
+                raise InvariantError(f"column {idx} holds negative element {x}")
+            if x in seen:
+                raise InvariantError(f"element {x} appears more than once (column {idx})")
+            seen.add(x)
+        if require_sums:
+            want = sum_schedule(cfg, idx)
+            got = sum(col)
+            if got != want:
+                raise InvariantError(f"column {idx} sums to {got}, schedule wants {want}")
+    return seen
+
+
+def broken_ranks(p: Partition, horizon: int | None = None) -> tuple[int, ...]:
+    """Ranks up to horizon (default: all stored) whose column sum misses the schedule."""
+    if horizon is None:
+        horizon = p.horizon
+    elif horizon > p.horizon:
+        raise HorizonError(f"horizon {horizon} exceeds stored {p.horizon} columns")
+    return tuple(
+        n for n in range(1, horizon + 1)
+        if sum(p.columns[n - 1]) != sum_schedule(p.cfg, n)
+    )
 
 
 def standard_partition(cfg: ModulusConfig, horizon: int) -> Partition:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HorizonError
-from .partition import Partition, sum_schedule
+from .partition import Partition, broken_ranks
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ def _check_slot(p: Partition, slot: tuple[int, int]) -> None:
         raise ValueError(f"set index {i} outside 1..{p.cfg.set_count}")
     if not 1 <= n <= p.horizon:
         raise HorizonError(f"rank {n} outside stored range 1..{p.horizon}")
-
-
-def broken_ranks(p: Partition) -> tuple[int, ...]:
-    """Ranks whose column sum misses the schedule."""
-    return tuple(
-        n for n in range(1, p.horizon + 1)
-        if sum(p.columns[n - 1]) != sum_schedule(p.cfg, n)
-    )
 
 
 def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]:
@@ -98,8 +90,4 @@ def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
 
 def verify_sum_pattern(p: Partition, horizon: int) -> bool:
     """True when every column 1..horizon sums to the schedule."""
-    if horizon > p.horizon:
-        raise HorizonError(f"horizon {horizon} exceeds stored {p.horizon} columns")
-    return all(
-        sum(p.columns[n - 1]) == sum_schedule(p.cfg, n) for n in range(1, horizon + 1)
-    )
+    return not broken_ranks(p, horizon)

@@ -5,6 +5,7 @@ import pytest
 
 import rankpart as rp
 from rankpart.errors import InvariantError, ParseError
+from rankpart.cli import main
 from rankpart.headfile import parse_head_file, serialize_head
 
 FIG_TEXT = """\
@@ -118,3 +119,18 @@ def test_serialize_round_trip(tmp_path, heads36):
 def test_serialize_unknown_format(heads36):
     with pytest.raises(ValueError):
         serialize_head(heads36[0], "yaml")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"columns": [[true, 2, 0], [3, 4, 5], [6, 7, 10], [8, 9, 15], [11, 12, 20]]}',
+     "non-integer entry True"),
+    ('{"m": true, "columns": [[1, 2, 0], [3, 4, 5], [6, 7, 10], [8, 9, 15], [11, 12, 20]]}',
+     "'m' must be an integer"),
+], ids=["entry", "m"])
+def test_json_booleans_rejected(tmp_path, capsys, doc, message):
+    # JSON true loads as a bool, which is an int to isinstance
+    path = write(tmp_path, "b.json", doc)
+    with pytest.raises(ParseError, match=message):
+        parse_head_file(path)
+    assert main(["generate", "--head", str(path), "--horizon", "8", "--show", "3"]) == 2
+    assert capsys.readouterr().out == ""

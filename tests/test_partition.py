@@ -189,3 +189,28 @@ def test_elements_are_sorted():
     p = rp.standard_partition(M5, 12)
     elems = p.elements()
     assert list(elems) == sorted(elems)
+
+
+# three-column m=5 prefixes, each broken in one way only in column 3
+BAD_PREFIXES = {
+    "width": ((6, 17), "entries, expected"),
+    "negative": ((-1, 7, 17), "negative element"),
+    "repeated": ((5, 7, 11), "more than once"),
+    "sum": ((6, 7, 11), "schedule wants"),
+}
+ENTRY_POINTS = {
+    "Partition.validate": lambda cols: rp.Partition(M5, cols).validate(),
+    "Head.validate": lambda cols: rp.Head(M5, cols).validate(),
+    "PartitionBuilder": lambda cols: rp.PartitionBuilder(M5, cols),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("fault", BAD_PREFIXES)
+def test_every_entry_point_rejects_the_same_bad_columns(fault, entry):
+    col, message = BAD_PREFIXES[fault]
+    cols = ((1, 2, 0), (3, 4, 5), col)
+    with pytest.raises(InvariantError, match=message):
+        ENTRY_POINTS[entry](cols)
+    if fault == "sum":
+        rp.Partition(M5, cols).validate(require_sums=False)

@@ -194,5 +194,8 @@ def test_broken_ranks_and_pattern_check(std_deep):
     q, _ = swap(std_deep, (1, 7), (1, 9))
     assert rp.broken_ranks(q) == (7, 9)
     assert not rp.verify_sum_pattern(q, 512)
+    # the scan stops at the horizon: rank 7 is the first broken one
+    assert rp.verify_sum_pattern(q, 6)
+    assert not rp.verify_sum_pattern(q, 7)
     with pytest.raises(HorizonError):
         rp.verify_sum_pattern(std_deep, std_deep.horizon + 1)
