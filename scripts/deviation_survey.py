@@ -12,8 +12,8 @@ import sys
 from rankpart import (
     ModulusConfig,
     diff_vs_standard,
-    greedy_extend,
     head_groups,
+    lockstep_extensions,
     partition_numbering,
     signature_matches,
 )
@@ -33,11 +33,9 @@ def main(argv: list[str] | None = None) -> int:
     _, groups = head_groups(cfg)
     numbers = partition_numbering(groups)
     print(f"{'head':>4} {'partition':>9} {'class':>5} {'witness':>7}  first diffs")
-    for group in groups:
-        if group.is_standard:
-            continue
-        head = group.representative
-        p = greedy_extend(cfg, head.columns, args.horizon)
+    heads = [g.representative for g in groups if not g.is_standard]
+    extensions = lockstep_extensions(cfg, [head.columns for head in heads], args.horizon)
+    for head, p in zip(heads, extensions):
         matches = signature_matches(p, args.horizon)
         class_id, witness = matches[0] if matches else ("-", "-")
         diffs = diff_vs_standard(p, args.horizon)

@@ -44,7 +44,13 @@ from .errors import (
     RankPartError,
     ResourceError,
 )
-from .greedy import PartitionBuilder, complete_head, greedy_extend, lockstep_classes
+from .greedy import (
+    PartitionBuilder,
+    complete_head,
+    greedy_extend,
+    lockstep_classes,
+    lockstep_extensions,
+)
 from .headfile import parse_head_file, serialize_head
 from .partition import (
     Partition,
@@ -100,6 +106,7 @@ __all__ = [
     "greedy_extend",
     "head_groups",
     "lockstep_classes",
+    "lockstep_extensions",
     "parse_head_file",
     "partition_numbering",
     "residue_set_index",

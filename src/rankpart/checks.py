@@ -1,10 +1,12 @@
 """Verification suites: internal consistency checks over generated data.
 
 Each check builds the data it needs and reports pass/fail with a detail
-string.  The suite doubles as a fault-injection target: the caller can
-request a deliberate corruption (a column sum knocked off the schedule, or
-two elements swapped across slots) and confirm the failure is caught and
-named.
+string.  The signature check takes the extensions of all m=5
+representatives from one lockstep run (greedy.lockstep_extensions), which
+extends each of the eight classes once.  The suite doubles as a
+fault-injection target: the caller can request a deliberate corruption (a
+column sum knocked off the schedule, or two elements swapped across slots)
+and confirm the failure is caught and named.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import head_groups
 from .equivalence import SIGNATURES, signature_matches
 from .errors import InvariantError, RankPartError
-from .greedy import greedy_extend
+from .greedy import greedy_extend, lockstep_extensions
 from .partition import Partition, broken_ranks, residue_set_index, standard_partition, sum_schedule
 from .reshuffle import (
     SwapSpec,
@@ -109,9 +111,9 @@ def _check_greedy(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult
 def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
     _, groups = head_groups(cfg)
     reps = [g.representative for g in groups if not g.is_standard]
+    extensions = lockstep_extensions(cfg, [rep.columns for rep in reps], horizon)
     tally: dict[int, int] = {}
-    for rep in reps:
-        ext = greedy_extend(cfg, rep.columns, horizon)
+    for rep, ext in zip(reps, extensions):
         matches = signature_matches(ext, horizon)
         if len(matches) != 1:
             ids = [class_id for class_id, _ in matches]

@@ -211,7 +211,8 @@ def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | 
     A rank conforms when it carries the family variant (on family positions)
     or the standard column (elsewhere).  The returned witness is 0 for a
     perfectly conforming partition and must not exceed horizon/2; beyond
-    that the signature is rejected and None is returned.
+    that the signature is rejected and None is returned.  The second half is
+    compared in one slice, then the first half is walked down from H/2.
     """
     _require_stored(p, horizon)
     std = _std_columns(p.cfg, horizon)
@@ -219,11 +220,13 @@ def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | 
     for fam in sig.families:
         for k, rank in fam.positions_up_to(horizon):
             expected[rank - 1] = fam.variant_at(k)
-    last_bad = 0
-    for n in range(1, horizon + 1):
+    half = horizon // 2
+    if p.columns[half:horizon] != tuple(expected[half:]):
+        return None
+    for n in range(half, 0, -1):
         if p.columns[n - 1] != expected[n - 1]:
-            last_bad = n
-    return last_bad if last_bad <= horizon // 2 else None
+            return n
+    return 0
 
 
 def check_signature(p: Partition, sig: ClassSignature, horizon: int) -> bool:

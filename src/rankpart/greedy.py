@@ -8,8 +8,10 @@ A forced entry that is negative or already in use means the prefix simply
 does not extend at that rank.
 
 Because each step depends only on the rank and the set of used integers,
-`lockstep_classes` extends many prefixes side by side and merges those whose
-used sets meet, which sorts their extensions into equivalence classes.
+many prefixes can extend side by side, merging those whose used sets meet.
+One stepping loop serves two entry points: `lockstep_classes` sorts the
+extensions into equivalence classes, and `lockstep_extensions` returns every
+extension while extending each class only once.
 """
 from __future__ import annotations
 
@@ -31,12 +33,15 @@ class PartitionBuilder:
         self.cfg = cfg
         self.columns: list[Column] = [tuple(col) for col in columns]
         self._used = check_columns(cfg, self.columns)
-        self._cursor = 0
-        self._advance_cursor()
-
-    def _advance_cursor(self) -> None:
-        while self._cursor in self._used:
-            self._cursor += 1
+        # S(n) = step*(n-1) + t*((n-1)//2) + base, as in partition.sum_schedule
+        t = cfg.t
+        self._t = t
+        self._step = (t + 1) ** 2
+        self._base = t * (t + 1) // 2
+        cursor = 0
+        while cursor in self._used:
+            cursor += 1
+        self._cursor = cursor
 
     @property
     def next_rank(self) -> int:
@@ -44,23 +49,27 @@ class PartitionBuilder:
 
     def extend_one(self) -> Column:
         """Fill the next rank; returns the new column."""
-        t = self.cfg.t
+        used = self._used
+        t = self._t
         picks: list[int] = []
         v = self._cursor
         while len(picks) < t:
-            if v not in self._used:
+            if v not in used:
                 picks.append(v)
             v += 1
-        rank = self.next_rank
-        last = sum_schedule(self.cfg, rank) - sum(picks)
+        n = len(self.columns)
+        last = self._step * n + t * (n // 2) + self._base - sum(picks)
         if last < 0:
-            raise NegativeError(rank, last)
-        if last in self._used or last in picks:
-            raise CollisionError(rank, last)
+            raise NegativeError(n + 1, last)
+        if last in used or last in picks:
+            raise CollisionError(n + 1, last)
         col = (*picks, last)
         self.columns.append(col)
-        self._used.update(col)
-        self._advance_cursor()
+        used.update(col)
+        v = picks[0]  # the old cursor, now used
+        while v in used:
+            v += 1
+        self._cursor = v
         return col
 
     def extend_to(self, horizon: int) -> None:
@@ -142,6 +151,55 @@ def _merge_equal_states(
     return survivors
 
 
+def _run_lockstep(
+    cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
+) -> tuple[list[int], list[int | None], list[list[Column]]]:
+    """Step one builder per prefix in lockstep; the core of both public entry points.
+
+    Returns (parent, roots, columns).  parent[i] is the earlier builder that
+    builder i merged into (i itself when it never merged), roots[i] the first
+    builder of its class or None when that class died, and columns[i] the
+    columns builder i held when it merged, died or reached the horizon.  A
+    merged builder is dropped with its used set; only its column list stays.
+    """
+    builders: list[PartitionBuilder | None] = [PartitionBuilder(cfg, cols) for cols in prefixes]
+    if not builders:
+        return [], [], []
+    start = len(builders[0].columns)
+    if any(len(b.columns) != start for b in builders):
+        raise ValueError("lockstep extension needs prefixes of equal length")
+    if horizon < start:
+        raise ValueError(f"horizon {horizon} is shorter than the {start}-column prefixes")
+    columns = [b.columns for b in builders]
+    key = _SetKeys().__getitem__
+    hashes = [sum(map(key, b._used)) & _MASK64 for b in builders]
+    parent = list(range(len(builders)))
+    dead: set[int] = set()
+    live = _merge_equal_states(builders, hashes, list(range(len(builders))), parent)
+    for _ in range(start + 1, horizon // 2 + 1):
+        stepped = []
+        for i in live:
+            try:
+                col = builders[i].extend_one()
+            except (CollisionError, NegativeError):
+                dead.add(i)
+                builders[i] = None
+                continue
+            hashes[i] = (hashes[i] + sum(map(key, col))) & _MASK64
+            stepped.append(i)
+        live = _merge_equal_states(builders, hashes, stepped, parent)
+    for i in live:
+        try:
+            builders[i].extend_to(horizon)
+        except (CollisionError, NegativeError):
+            dead.add(i)
+        builders[i] = None
+    roots: list[int] = []
+    for i, j in enumerate(parent):
+        roots.append(i if j == i else roots[j])  # merges always point to an earlier builder
+    return parent, [None if r in dead else r for r in roots], columns
+
+
 def lockstep_classes(
     cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
 ) -> list[int | None]:
@@ -166,40 +224,32 @@ def lockstep_classes(
     Raises ValueError when the prefixes differ in length or the horizon is
     shorter than them, and InvariantError when a prefix is malformed.
     """
-    builders: list[PartitionBuilder | None] = [PartitionBuilder(cfg, cols) for cols in prefixes]
-    if not builders:
-        return []
-    start = len(builders[0].columns)
-    if any(len(b.columns) != start for b in builders):
-        raise ValueError("lockstep extension needs prefixes of equal length")
-    if horizon < start:
-        raise ValueError(f"horizon {horizon} is shorter than the {start}-column prefixes")
-    key = _SetKeys().__getitem__
-    hashes = [sum(map(key, b._used)) & _MASK64 for b in builders]
-    parent = list(range(len(builders)))
-    dead: set[int] = set()
-    live = _merge_equal_states(builders, hashes, list(range(len(builders))), parent)
-    for _ in range(start + 1, horizon // 2 + 1):
-        stepped = []
-        for i in live:
-            try:
-                col = builders[i].extend_one()
-            except (CollisionError, NegativeError):
-                dead.add(i)
-                builders[i] = None
-                continue
-            hashes[i] = (hashes[i] + sum(map(key, col))) & _MASK64
-            stepped.append(i)
-        live = _merge_equal_states(builders, hashes, stepped, parent)
-    for i in live:
-        try:
-            builders[i].extend_to(horizon)
-        except (CollisionError, NegativeError):
-            dead.add(i)
-    roots: list[int] = []
-    for i, j in enumerate(parent):
-        roots.append(i if j == i else roots[j])  # merges always point to an earlier builder
-    return [None if r in dead else r for r in roots]
+    return _run_lockstep(cfg, prefixes, horizon)[1]
+
+
+def lockstep_extensions(
+    cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
+) -> list[Partition | None]:
+    """The greedy extension of every prefix to the horizon, from one lockstep run.
+
+    Entry i equals greedy_extend(cfg, prefixes[i], horizon), or is None where
+    that raises CollisionError or NegativeError.  Only the class roots reach
+    the horizon.  A merged prefix's extension is its own columns up to the
+    rank where its used set met an earlier builder's, then that builder's
+    extension, since greedy extension from equal used sets is the same.
+    Raises as lockstep_classes does.
+    """
+    parent, roots, columns = _run_lockstep(cfg, prefixes, horizon)
+    extensions: list[Partition | None] = []
+    for i, (j, root) in enumerate(zip(parent, roots)):
+        if root is None:
+            extensions.append(None)
+        elif j == i:
+            extensions.append(Partition(cfg, tuple(columns[i])))
+        else:
+            own = columns[i]
+            extensions.append(Partition(cfg, tuple(own) + extensions[j].columns[len(own):]))
+    return extensions
 
 
 def complete_head(

@@ -1,9 +1,10 @@
 """Reading and writing head files.
 
-Text format: one column per line, t+1 whitespace-separated integers, with a
-single underscore allowed in place of one entry; the blank is filled from
-the sum schedule.  Blank lines and lines starting with # are skipped.  The
-modulus is inferred from the line width (t+1 entries means m = 2t+1).
+Text format: one column per line, t+1 whitespace-separated decimal integers
+(ASCII digits with an optional leading minus), with a single underscore
+allowed in place of one entry; the blank is filled from the sum schedule.
+Blank lines and lines starting with # are skipped.  The modulus is inferred
+from the line width (t+1 entries means m = 2t+1).
 
 JSON format: an object {"m": 5, "columns": [[1, 2, 0], ...]} where one entry
 may be null; "m" is optional and cross-checked against the column width.
@@ -11,6 +12,7 @@ may be null; "m" is optional and cross-checked against the column width.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .config import ModulusConfig
@@ -19,6 +21,9 @@ from .greedy import complete_head
 from .errors import ParseError
 
 RawColumns = list[list[int | None]]
+
+# int() would also take "1_0", "+10" and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _parse_text(content: str) -> RawColumns:
@@ -33,10 +38,9 @@ def _parse_text(content: str) -> RawColumns:
             if token == "_":
                 entries.append(None)
                 continue
-            try:
-                entries.append(int(token))
-            except ValueError:
+            if not _INTEGER.fullmatch(token):
                 raise ParseError(f"expected an integer or '_', got {token!r}", lineno, colno)
+            entries.append(int(token))
         if width is None:
             width = len(entries)
         elif len(entries) != width:

@@ -3,7 +3,8 @@
 These deliberately share no code with rankpart: the decomposition oracle
 buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
-keeping a cursor.  Slow but obviously correct.
+keeping a cursor, and the signature oracle scans every rank forward.  Slow
+but obviously correct.
 """
 from __future__ import annotations
 
@@ -104,3 +105,29 @@ def head_columns(m: int, column_count: int = 5) -> list[tuple[tuple[int, ...], .
 
     column(1)
     return heads
+
+
+def signature_witness_scan(m: int, columns, families, horizon: int) -> int | None:
+    """Last rank off a signature's pattern, by one forward scan over every rank.
+
+    The expected column is the standard one, written from its closed form,
+    except at the family ranks a*2^k + b (k >= k_min), where it is the
+    family's variant c*2^k + d entrywise; later families overwrite earlier
+    ones.  Returns None when the last mismatch lies beyond horizon/2.
+    """
+    t = (m - 1) // 2
+    expected = []
+    for n in range(1, horizon + 1):
+        base = (t + 1) * (n - 1) - n // 2
+        expected.append(tuple(base + i for i in range(1, t + 1)) + (m * (n - 1),))
+    for fam in families:
+        a, b = fam.position
+        k = fam.k_min
+        while a * 2**k + b <= horizon:
+            expected[a * 2**k + b - 1] = tuple(c * 2**k + d for c, d in fam.variant)
+            k += 1
+    last_bad = 0
+    for n in range(1, horizon + 1):
+        if columns[n - 1] != expected[n - 1]:
+            last_bad = n
+    return last_bad if last_bad <= horizon // 2 else None

@@ -7,6 +7,8 @@ import rankpart as rp
 from rankpart.equivalence import SIGNATURES
 from rankpart.errors import HorizonError
 
+from oracles import signature_witness_scan
+
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
 
@@ -227,3 +229,38 @@ def test_standard_equivalence_skips_dead_heads():
     live = heads[0]  # the sorted standard head
     assert rp.standard_equivalent_heads([dead], 512) == set()
     assert rp.standard_equivalent_heads([live, dead], 512) == {1}
+
+
+# odd horizons put the first rank of the compared second half at H//2 + 1
+ORACLE_HORIZONS = (2048, 2049, 4097)
+
+
+@pytest.fixture(scope="module")
+def reps_and_standard(groups36):
+    top = max(ORACLE_HORIZONS)
+    reps = [g.representative for g in groups36 if not g.is_standard]
+    return [rp.greedy_extend(M5, r.columns, top) for r in reps] + [rp.standard_partition(M5, top)]
+
+
+def test_signature_witness_matches_forward_scan(reps_and_standard):
+    assert len(reps_and_standard) == 21
+    for horizon in ORACLE_HORIZONS:
+        for p in reps_and_standard:
+            for sig in SIGNATURES.values():
+                want = signature_witness_scan(5, p.columns, sig.families, horizon)
+                assert rp.signature_witness(p, sig, horizon) == want, (horizon, sig.class_id)
+
+
+def test_signature_witness_at_the_half_horizon_boundary():
+    for horizon in ORACLE_HORIZONS:
+        half = horizon // 2
+        std = rp.standard_partition(M5, horizon)
+        for rank, want in ((half, half), (half + 1, None)):
+            cols = list(std.columns)
+            cols[rank - 1] = cols[rank - 1][::-1]
+            p = rp.Partition(M5, tuple(cols))
+            assert rp.signature_witness(p, SIGNATURES[4], horizon) == want
+            for sig in SIGNATURES.values():
+                assert rp.signature_witness(p, sig, horizon) == signature_witness_scan(
+                    5, p.columns, sig.families, horizon
+                )

@@ -146,3 +146,28 @@ def test_extend_to_is_idempotent_past_target():
     b.extend_to(20)
     b.extend_to(12)  # lower target: nothing removed
     assert b.to_partition().horizon == 20
+
+
+@pytest.mark.parametrize("m", (5, 7, 9, 11, 13))
+def test_standard_head_regrows_standard_partition(m):
+    cfg = rp.ModulusConfig(m)
+    head = rp.standard_partition(cfg, 5).columns
+    assert rp.greedy_extend(cfg, head, 256) == rp.standard_partition(cfg, 256)
+
+
+@pytest.mark.parametrize("m, head, rank, value", [
+    (7, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 14), (11, 12, 13, 21), (15, 18, 20, 23)), 7, 40),
+    (11, ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 22),
+          (17, 18, 19, 20, 21, 33), (23, 24, 25, 29, 32, 36)), 7, 63),
+], ids=["m7-head10", "m11-head22"])
+def test_dead_head_fails_at_a_pinned_rank_and_value(m, head, rank, value):
+    cfg = rp.ModulusConfig(m)
+    with pytest.raises(CollisionError) as exc:
+        rp.greedy_extend(cfg, head, 256)
+    assert (exc.value.rank, exc.value.value) == (rank, value)
+    b = rp.PartitionBuilder(cfg, head)
+    b.extend_to(rank - 1)
+    with pytest.raises(CollisionError) as exc:
+        b.extend_one()
+    assert (exc.value.rank, exc.value.value) == (rank, value)
+    assert b.next_rank == rank  # the failed rank leaves no column behind

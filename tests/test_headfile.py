@@ -134,3 +134,19 @@ def test_json_booleans_rejected(tmp_path, capsys, doc, message):
         parse_head_file(path)
     assert main(["generate", "--head", str(path), "--horizon", "8", "--show", "3"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("token", ["1_0", "+10", "\u0661\u0660"], ids=["underscore", "plus", "arabic-indic"])
+def test_text_entries_are_plain_decimal(tmp_path, capsys, token):
+    # int() reads each of these as 10
+    path = write(tmp_path, "h.txt", f"0 1 2\n3 4 5\n6 7 {token}\n8 9 15\n11 12 20\n")
+    with pytest.raises(ParseError) as exc:
+        parse_head_file(path)
+    assert (exc.value.line, exc.value.column) == (3, 3)
+    assert main(["generate", "--head", str(path), "--horizon", "8", "--show", "3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_text_entry_reaches_validation(tmp_path):
+    with pytest.raises(InvariantError, match="negative"):
+        parse_head_file(write(tmp_path, "h.txt", "0 1 2\n-3 4 11\n"))

@@ -3,6 +3,7 @@
 The reference census below extends every dedup representative to the
 horizon with greedy_extend and sorts the extensions with classify and
 equivalent_up_to, the way the census worked before the engine existed.
+lockstep_extensions is held to greedy_extend prefix by prefix.
 """
 from __future__ import annotations
 
@@ -159,3 +160,33 @@ def test_engine_classes_equal_classify(subset, horizon):
     ]
     assert list(got.values()) == expected
     assert all(root == members[0] for root, members in got.items())
+
+
+def greedy_or_none(cfg: rp.ModulusConfig, cols, horizon: int) -> rp.Partition | None:
+    try:
+        return rp.greedy_extend(cfg, cols, horizon)
+    except (rp.CollisionError, rp.NegativeError):
+        return None
+
+
+@pytest.mark.parametrize("m", (5, 7, 9))
+def test_lockstep_extensions_equal_greedy_extend(m, groups_by_m):
+    cfg = rp.ModulusConfig(m)
+    prefixes = [g.representative.columns for g in groups_by_m[m]] + [std_head(cfg)]
+    for horizon in (5, 6, 12, 64, 257):
+        got = rp.lockstep_extensions(cfg, prefixes, horizon)
+        want = [greedy_or_none(cfg, cols, horizon) for cols in prefixes]
+        assert got == want, (m, horizon)
+        dead = sum(ext is None for ext in got)
+        assert dead == (10 if m == 7 and horizon >= 7 else 0), (m, horizon)
+    assert rp.lockstep_extensions(cfg, [], 64) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_subsets(), st.integers(5, 256))
+def test_lockstep_extensions_property(subset, horizon):
+    m, prefixes = subset
+    cfg = rp.ModulusConfig(m)
+    assert rp.lockstep_extensions(cfg, prefixes, horizon) == [
+        greedy_or_none(cfg, cols, horizon) for cols in prefixes
+    ]
