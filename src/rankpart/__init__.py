@@ -18,6 +18,7 @@ from .enumeration import (
     enumerate_heads,
     enumerate_heads_general,
     fifth_column_candidates,
+    head_by_id,
     head_groups,
     partition_numbering,
     sum_decompositions,
@@ -104,6 +105,7 @@ __all__ = [
     "equivalent_up_to",
     "fifth_column_candidates",
     "greedy_extend",
+    "head_by_id",
     "head_groups",
     "lockstep_classes",
     "lockstep_extensions",

@@ -3,9 +3,10 @@
 The census enumerates every five-column head and groups heads by union key
 as the search finds them (enumeration.head_groups), without building a Head
 per head.  One builder per group representative, plus one for the standard
-head, then run in lockstep (greedy.lockstep_classes): every live builder is
-extended one rank at a time and, at rank 5 and at every rank up to H/2,
-builders whose used sets coincide are merged, the later one being dropped.
+head, then run in lockstep (greedy.lockstep_classes): every builder advances
+from event to event, the ranks where its column can leave the standard
+partition's, and at rank 5 and at every rank up to H/2 builders whose used
+sets coincide are merged, the later one being dropped.
 
 That merge is exactly the equivalence at horizon H.  Greedy extension from
 rank n depends only on the set of integers used so far, so two builders with

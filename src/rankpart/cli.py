@@ -25,7 +25,7 @@ from .config import (
     ModulusConfig,
     RunConfig,
 )
-from .enumeration import Head, enumerate_heads_general
+from .enumeration import Head, head_by_id
 from .equivalence import diff_vs_standard
 from .errors import InvariantError, ParseError, RankPartError, ResourceError
 from .greedy import greedy_extend
@@ -54,11 +54,7 @@ def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int
     """The head a head id or head file names; the horizon must cover its columns."""
     if token.isdigit():
         cfg = ModulusConfig(m_flag if m_flag is not None else 5)
-        heads = enumerate_heads_general(cfg, node_budget=node_budget)
-        head_id = int(token)
-        if not 1 <= head_id <= len(heads):
-            raise ValueError(f"head id {head_id} outside 1..{len(heads)} for m={cfg.m}")
-        head = heads[head_id - 1]
+        head = head_by_id(cfg, int(token), node_budget=node_budget)
     else:
         path = Path(token)
         if not path.exists():

@@ -17,8 +17,9 @@ Heads come out in lexicographic order of their columns and are numbered 1, 2,
 ... in that order.  `head_groups` keys each head by its union bitmask as it
 is found and builds a Head only for the first of each group, so a census
 never holds one object per head (199 513 heads fall into 1 563 groups at
-m=13); `enumerate_heads_general` builds them all, and `dedup_heads` groups a
-list of heads that a caller supplies.
+m=13); `enumerate_heads_general` builds them all, `head_by_id` stops at the
+one it is asked for, and `dedup_heads` groups a list of heads that a caller
+supplies.
 
 For m=5 the search is tiny: columns 1 and 2 are forced to {0,1,2} and
 {3,4,5}, column 3 has two choices, column 4 six, and 36 heads survive in
@@ -217,6 +218,37 @@ def enumerate_heads_general(
 
     _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
     return heads
+
+
+class _Found(Exception):
+    """Carries the requested head out of the search."""
+
+
+def head_by_id(
+    cfg: ModulusConfig,
+    head_id: int,
+    column_count: int = 5,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Head:
+    """The head numbered head_id in the order of enumerate_heads_general.
+
+    The search counts heads and stops at the requested one, building only
+    that Head.  An id outside 1..N runs the whole search to find N and
+    raises ValueError; ResourceError as for enumerate_heads_general.
+    """
+    count = 0
+
+    def leaf(_: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
+        nonlocal count
+        count += 1
+        if count == head_id:
+            raise _Found(Head(cfg, (*columns, tuple(parts)), choice_id=head_id))
+
+    try:
+        _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
+    except _Found as found:
+        return found.args[0]
+    raise ValueError(f"head id {head_id} outside 1..{count} for m={cfg.m}")
 
 
 def enumerate_heads(cfg: ModulusConfig) -> list[Head]:

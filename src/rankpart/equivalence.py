@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .config import ModulusConfig
 from .errors import HorizonError
 from .greedy import lockstep_classes
-from .partition import Column, Partition, standard_partition
+from .partition import Column, Partition, standard_columns, standard_partition
 
 
 @dataclass(frozen=True)
@@ -135,11 +134,6 @@ SIGNATURES: dict[int, ClassSignature] = {
 }
 
 
-@lru_cache(maxsize=8)
-def _std_columns(cfg: ModulusConfig, horizon: int) -> tuple[Column, ...]:
-    return standard_partition(cfg, horizon).columns
-
-
 def _require_stored(p: Partition, horizon: int) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -197,7 +191,7 @@ def classify(partitions: list[Partition], horizon: int) -> list[list[int]]:
 def diff_vs_standard(p: Partition, horizon: int) -> list[tuple[int, Column, Column]]:
     """Ranks where p differs from the standard partition, with both columns."""
     _require_stored(p, horizon)
-    std = _std_columns(p.cfg, horizon)
+    std = standard_columns(p.cfg, horizon)
     return [
         (n, std[n - 1], p.columns[n - 1])
         for n in range(1, horizon + 1)
@@ -215,7 +209,7 @@ def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | 
     compared in one slice, then the first half is walked down from H/2.
     """
     _require_stored(p, horizon)
-    std = _std_columns(p.cfg, horizon)
+    std = standard_columns(p.cfg, horizon)
     expected = list(std)
     for fam in sig.families:
         for k, rank in fam.positions_up_to(horizon):

@@ -19,13 +19,14 @@ sequence holds the multiples of m.  We call it the standard partition.
 The invariants of a column prefix also live here, once each, and every other
 module calls them: `check_columns` checks width, non-negative and distinct
 elements and the schedule sums, `broken_ranks` is the one scan of column sums
-against the schedule, and `standard_partition` builds every standard column
-tuple.
+against the schedule, and `standard_columns` builds every standard column
+tuple, cached so that every reader at one horizon shares them.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import ModulusConfig
 from .errors import HorizonError, InvariantError
@@ -150,8 +151,16 @@ def broken_ranks(p: Partition, horizon: int | None = None) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=8)
+def standard_columns(cfg: ModulusConfig, horizon: int) -> tuple[Column, ...]:
+    """Columns 1..horizon of the standard partition; cached per (cfg, horizon)."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    return tuple(standard_column(cfg, n) for n in range(1, horizon + 1))
+
+
 def standard_partition(cfg: ModulusConfig, horizon: int) -> Partition:
     """The standard partition stored to the given number of columns."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return Partition(cfg, tuple(standard_column(cfg, n) for n in range(1, horizon + 1)))
+    return Partition(cfg, standard_columns(cfg, horizon))

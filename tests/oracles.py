@@ -4,9 +4,13 @@ These deliberately share no code with rankpart: the decomposition oracle
 buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
 keeping a cursor, and the signature oracle scans every rank forward.  Slow
-but obviously correct.
+but obviously correct.  The one exception is `dense_lockstep`, the dense
+lockstep engine the event-driven one replaced: it steps rank by rank with
+rankpart.PartitionBuilder, which test_greedy holds to `greedy_columns`.
 """
 from __future__ import annotations
+
+import rankpart as rp
 
 
 def decomposition_table(
@@ -131,3 +135,90 @@ def signature_witness_scan(m: int, columns, families, horizon: int) -> int | Non
         if columns[n - 1] != expected[n - 1]:
             last_bad = n
     return last_bad if last_bad <= horizon // 2 else None
+
+
+def greedy_step(m: int, used: set[int], rank: int) -> tuple[int, ...]:
+    """The greedy column of the given rank over an explicit used set.
+
+    Scans up from 0 for the t smallest unused integers and forces the last
+    entry from the schedule; `used` is left as it is.  Raises ValueError on
+    a negative or colliding forced value.
+    """
+    t = (m - 1) // 2
+    picked: list[int] = []
+    v = 0
+    while len(picked) < t:
+        if v not in used:
+            picked.append(v)
+        v += 1
+    last = schedule(m, rank) - sum(picked)
+    if last < 0 or last in used or last in picked:
+        raise ValueError(f"no forced value at rank {rank}")
+    return (*picked, last)
+
+
+def dense_lockstep(cfg, prefixes, horizon: int):
+    """Step one PartitionBuilder per prefix through every rank, merging equal used sets.
+
+    Builders merge at the prefix rank and at every rank up to horizon // 2
+    when their used sets are equal, the later into the earlier; past that
+    only the survivors extend, to the horizon.  Returns (roots, extension,
+    errors): roots[i] is the first builder of i's class or None when the
+    class died, extension(i) the columns of prefix i's greedy extension
+    (None when it dies), built on each call, and errors[i] the (type, rank,
+    value) of the exception that killed i's class, or None.  Used sets are bucketed by
+    the sum of their squares (every column sums to the schedule, so plain
+    sums are all equal), and every bucket hit is compared exactly.
+    """
+    builders = [rp.PartitionBuilder(cfg, cols) for cols in prefixes]
+    if not builders:
+        return [], [], []
+    start = len(builders[0].columns)
+    parent = list(range(len(builders)))
+    held = [horizon] * len(builders)
+    errors: dict[int, tuple] = {}
+    sums = [sum(x * x for x in b._used) for b in builders]
+
+    def merge(live: list[int], rank: int) -> list[int]:
+        buckets: dict[int, list[int]] = {}
+        out = []
+        for i in live:
+            bucket = buckets.setdefault(sums[i], [])
+            j = next((j for j in bucket if builders[j]._used == builders[i]._used), None)
+            if j is None:
+                bucket.append(i)
+                out.append(i)
+            else:
+                parent[i], held[i] = j, rank
+        return out
+
+    def advance(i: int) -> bool:
+        try:
+            col = builders[i].extend_one()
+        except (rp.CollisionError, rp.NegativeError) as e:
+            errors[i] = (type(e), e.rank, e.value)
+            return False
+        sums[i] += sum(x * x for x in col)
+        return True
+
+    live = merge(list(range(len(builders))), start)
+    for rank in range(start + 1, horizon // 2 + 1):
+        live = merge([i for i in live if advance(i)], rank)
+    for i in live:
+        while len(builders[i].columns) < horizon and advance(i):
+            pass
+    roots: list[int] = []
+    for i, j in enumerate(parent):
+        roots.append(i if j == i else roots[j])
+
+    def extension(i: int) -> tuple[tuple[int, ...], ...] | None:
+        if roots[i] in errors:
+            return None
+        columns: list[tuple[int, ...]] = []
+        while True:  # own columns up to the merge rank, then the parent's
+            columns += builders[i].columns[len(columns):held[i]]
+            if parent[i] == i:
+                return tuple(columns)
+            i = parent[i]
+
+    return [None if r in errors else r for r in roots], extension, [errors.get(r) for r in roots]

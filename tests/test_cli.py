@@ -215,3 +215,18 @@ def test_census_rejects_modulus_three(capsys):
     code, out, err = run(capsys, "census", "--m", "3", "--horizon", "64")
     assert code == 2 and out == ""
     assert "modulus" in err
+
+
+def test_head_ids_resolve_through_the_stopping_search(capsys, monkeypatch):
+    code, out, err = run(capsys, "diff", "--m", "9", "--head", "3474", "--horizon", "64")
+    assert code == 0 and err == "" and out.endswith("through 64\n")
+    code, out, err = run(capsys, "generate", "--m", "9", "--head", "3475", "--horizon", "64")
+    assert (code, out, err) == (2, "", "error: head id 3475 outside 1..3474 for m=9\n")
+    code, out, err = run(capsys, "diff", "--m", "7", "--head", "0", "--horizon", "64")
+    assert (code, out, err) == (2, "", "error: head id 0 outside 1..365 for m=7\n")
+    monkeypatch.setenv("RANKPART_NODE_BUDGET", "10")
+    code, out, err = run(capsys, "generate", "--m", "7", "--head", "300", "--horizon", "64")
+    assert code == 3 and out == "" and "node budget of 10" in err
+    monkeypatch.setenv("RANKPART_NODE_BUDGET", "-1")
+    code, _, err = run(capsys, "generate", "--m", "7", "--head", "1", "--horizon", "64")
+    assert code == 2 and "RANKPART_NODE_BUDGET" in err

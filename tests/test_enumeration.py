@@ -307,3 +307,33 @@ def test_decomposition_bounds():
     assert rp.sum_decompositions(9, 2, excluded={-1, 0, 40}) == [(1, 8), (2, 7), (3, 6), (4, 5)]
     with pytest.raises(ValueError):
         rp.sum_decompositions(10, 2, min_value=-1)
+
+
+HEAD_COUNTS = {5: 36, 7: 365, 9: 3474}
+
+
+@pytest.mark.parametrize("m", (5, 7, 9))
+def test_head_by_id_equals_the_enumerated_head(m):
+    cfg = rp.ModulusConfig(m)
+    heads = rp.enumerate_heads_general(cfg)
+    assert len(heads) == HEAD_COUNTS[m]
+    ids = sorted({1, 2, len(heads) // 2, len(heads) - 1, len(heads)} | set(range(1, len(heads) + 1, 97)))
+    for head_id in ids:
+        assert rp.head_by_id(cfg, head_id) == heads[head_id - 1], head_id
+    for head_id in (0, -3, len(heads) + 1, 10**6):
+        with pytest.raises(ValueError, match=rf"^head id {head_id} outside 1\.\.{len(heads)} for m={m}$"):
+            rp.head_by_id(cfg, head_id)
+
+
+def test_head_by_id_stops_at_the_requested_head(monkeypatch):
+    full = count_nodes(monkeypatch, lambda: rp.enumerate_heads_general(M7))
+    first = count_nodes(monkeypatch, lambda: rp.head_by_id(M7, 1))
+    last = count_nodes(monkeypatch, lambda: rp.head_by_id(M7, 365))
+    assert first < last <= full
+    assert count_nodes(monkeypatch, lambda: pytest.raises(ValueError, rp.head_by_id, M7, 366)) == full
+    # the budget caps the nodes spent up to the requested head
+    assert rp.head_by_id(M7, 1, node_budget=first).choice_id == 1
+    with pytest.raises(ResourceError, match=f"node budget of {first - 1}"):
+        rp.head_by_id(M7, 1, node_budget=first - 1)
+    with pytest.raises(ResourceError):
+        rp.head_by_id(M7, 366, node_budget=full - 1)
