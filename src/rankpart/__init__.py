@@ -7,9 +7,9 @@ the greedy extensions of those heads into equivalence classes, and verifies
 the closed-form deviation signatures and sum-preserving reshuffles of the
 m=5 family.
 """
-from .census import PROTOCOLS, CensusReport, run_census, run_census_both
+from .census import PROTOCOLS, CensusReport, run_census, run_census_both, standard_equivalent_heads
 from .checks import CheckResult, run_verification, verification_passed
-from .config import ModulusConfig, RunConfig
+from .config import ModulusConfig
 from .enumeration import (
     DedupGroup,
     Head,
@@ -34,7 +34,6 @@ from .equivalence import (
     equivalent_up_to,
     signature_matches,
     signature_witness,
-    standard_equivalent_heads,
 )
 from .errors import (
     CollisionError,
@@ -46,7 +45,6 @@ from .errors import (
     ResourceError,
 )
 from .greedy import (
-    PartitionBuilder,
     complete_head,
     greedy_extend,
     lockstep_classes,
@@ -88,10 +86,8 @@ __all__ = [
     "NegativeError",
     "ParseError",
     "Partition",
-    "PartitionBuilder",
     "RankPartError",
     "ResourceError",
-    "RunConfig",
     "SwapSpec",
     "broken_ranks",
     "check_signature",

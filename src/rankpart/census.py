@@ -20,7 +20,9 @@ Some representatives for m >= 7 hit a forced collision while extending; a
 builder that fails takes its whole class with it, and those representatives
 are reported as non-extendable and left out of the classification.  The
 representatives in the standard head's class are the standard-equivalent
-ones.
+ones.  `_group_classes` is the one place the standard head joins the run:
+the census and `standard_equivalent_heads`, which groups a caller's heads
+with enumeration.dedup_heads, both read it.
 
 Because nothing says whether the class tally should count the class of the
 standard partition's own head group, both protocols are available:
@@ -37,6 +39,9 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import (
+    DedupGroup,
+    Head,
+    dedup_heads,
     fifth_column_candidates,
     head_groups,
     partition_numbering,
@@ -102,6 +107,29 @@ def _decomposition_counts(cfg: ModulusConfig) -> tuple[int, int, int]:
     return len(col3_choices), len(col4_sets), len(fifth_column_candidates(cfg))
 
 
+def _group_classes(
+    cfg: ModulusConfig, groups: list[DedupGroup], horizon: int
+) -> tuple[list[int | None], tuple[int, ...]]:
+    """Lockstep roots of the group representatives, and the standard-equivalent ids.
+
+    The representatives and the standard head of the same length run in
+    lockstep (greedy.lockstep_classes); roots[i] is the index of the first
+    group in group i's class, or None when that class dies.  The member ids
+    of every group in the standard head's class come back sorted.
+    """
+    std_head = standard_partition(cfg, len(groups[0].representative.columns)).columns
+    *roots, std_root = lockstep_classes(
+        cfg, [g.representative.columns for g in groups] + [std_head], horizon
+    )
+    std_ids = tuple(sorted(
+        head_id
+        for group, root in zip(groups, roots)
+        if root is not None and root == std_root
+        for head_id in group.member_ids
+    ))
+    return roots, std_ids
+
+
 def _census(
     m: int, horizon: int, protocols: tuple[str, ...], node_budget: int
 ) -> tuple[CensusReport, ...]:
@@ -112,16 +140,7 @@ def _census(
     if horizon < HEAD_COLUMNS:
         raise ValueError(f"horizon {horizon} is shorter than the {HEAD_COLUMNS} head columns")
     head_count, groups = head_groups(cfg, HEAD_COLUMNS, node_budget)
-    std_head = standard_partition(cfg, HEAD_COLUMNS).columns
-    *roots, std_root = lockstep_classes(
-        cfg, [g.representative.columns for g in groups] + [std_head], horizon
-    )
-    std_equivalent = tuple(sorted(
-        head_id
-        for group, root in zip(groups, roots)
-        if root is not None and root == std_root
-        for head_id in group.member_ids
-    ))
+    roots, std_equivalent = _group_classes(cfg, groups, horizon)
     m5 = cfg.m == 5
     reports = []
     for protocol in protocols:
@@ -174,5 +193,18 @@ def run_census_both(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[CensusReport, CensusReport]:
     """Census under both protocols, sharing the enumeration and the lockstep run."""
-    excl, incl = _census(m, horizon, PROTOCOLS, node_budget)
-    return excl, incl
+    return _census(m, horizon, PROTOCOLS, node_budget)
+
+
+def standard_equivalent_heads(heads: list[Head], horizon: int) -> set[int]:
+    """Ids of heads whose greedy extension is equivalent to the standard partition.
+
+    The heads are grouped as by dedup_heads (a head without a choice_id takes
+    its position) and classed as in a census.  Heads that die before the
+    horizon are never equivalent.  A head with the standard union merges with
+    the standard head at its last rank even beyond horizon/2, so below
+    horizon 10 the union alone decides.
+    """
+    if not heads:
+        return set()
+    return set(_group_classes(heads[0].cfg, dedup_heads(heads), horizon)[1])

@@ -19,13 +19,7 @@ from .equivalence import SIGNATURES, signature_matches
 from .errors import InvariantError, RankPartError
 from .greedy import greedy_extend, lockstep_extensions
 from .partition import Partition, broken_ranks, residue_set_index, standard_partition, sum_schedule
-from .reshuffle import (
-    SwapSpec,
-    reshuffle_family_i,
-    reshuffle_family_ii,
-    swap_pair,
-    verify_sum_pattern,
-)
+from .reshuffle import SwapSpec, reshuffle_family_i, reshuffle_family_ii, swap_pair
 
 # class tallies confirmed by full runs at horizons 64 and 4096
 KNOWN_CLASS_COUNTS = {5: 8, 7: 13, 9: 19, 11: 26, 13: 34, 15: 43}
@@ -143,9 +137,7 @@ def _check_reshuffles(cfg: ModulusConfig, horizon: int) -> CheckResult:
         if not a == b == 30 * k + 17:
             return CheckResult("reshuffle-identities", False, f"family ii pair sums differ at k={k}")
     for result in (reshuffle_family_i(std, k_i), reshuffle_family_ii(std, k_ii)):
-        if not verify_sum_pattern(result, horizon):
-            return CheckResult("reshuffle-identities", False, "reshuffled partition breaks the sum pattern")
-        try:
+        try:  # the column check includes every column sum
             result.validate()
         except InvariantError as e:
             return CheckResult("reshuffle-identities", False, str(e))

@@ -18,13 +18,7 @@ from pathlib import Path
 
 from .census import PROTOCOLS, run_census, run_census_both
 from .checks import INJECTIONS, run_verification, verification_passed
-from .config import (
-    DEFAULT_COLUMNS_SHOWN,
-    DEFAULT_HORIZON,
-    DEFAULT_NODE_BUDGET,
-    ModulusConfig,
-    RunConfig,
-)
+from .config import DEFAULT_COLUMNS_SHOWN, DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import Head, head_by_id
 from .equivalence import diff_vs_standard
 from .errors import InvariantError, ParseError, RankPartError, ResourceError
@@ -71,9 +65,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     budget = _node_budget()
     head = None if args.head == "standard" else _resolve_head(args.head, args.m, budget, args.horizon)
     cfg = head.cfg if head else ModulusConfig(args.m if args.m is not None else 5)
-    run = RunConfig(m=cfg.m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
-    p = greedy_extend(cfg, head.columns, run.horizon) if head else standard_partition(cfg, run.horizon)
-    sys.stdout.write(render_partition(p, run.columns_shown, run.fmt))
+    p = greedy_extend(cfg, head.columns, args.horizon) if head else standard_partition(cfg, args.horizon)
+    sys.stdout.write(render_partition(p, args.show, args.format))
     return 0
 
 
@@ -115,11 +108,10 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else 5
     if m != 5:
         raise ValueError("reshuffle families are defined for m=5 only")
-    run = RunConfig(m=m, horizon=args.horizon, columns_shown=args.show, fmt=args.format)
-    std = standard_partition(run.modulus, run.horizon)
+    std = standard_partition(ModulusConfig(m), args.horizon)
     family = reshuffle_family_i if args.family == "i" else reshuffle_family_ii
     p = family(std, args.kmax)
-    sys.stdout.write(render_partition(p, run.columns_shown, run.fmt))
+    sys.stdout.write(render_partition(p, args.show, args.format))
     return 0
 
 

@@ -17,9 +17,10 @@ Heads come out in lexicographic order of their columns and are numbered 1, 2,
 ... in that order.  `head_groups` keys each head by its union bitmask as it
 is found and builds a Head only for the first of each group, so a census
 never holds one object per head (199 513 heads fall into 1 563 groups at
-m=13); `enumerate_heads_general` builds them all, `head_by_id` stops at the
-one it is asked for, and `dedup_heads` groups a list of heads that a caller
-supplies.
+m=13); `enumerate_heads_general` builds them all and `head_by_id` stops at
+the one it is asked for.  `dedup_heads` keys a list of heads that a caller
+supplies by the same bitmask, and both hand their groups to one builder
+(`_groups`).
 
 For m=5 the search is tiny: columns 1 and 2 are forced to {0,1,2} and
 {3,4,5}, column 3 has two choices, column 4 six, and 36 heads survive in
@@ -275,36 +276,36 @@ class DedupGroup:
     is_standard: bool
 
 
-def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
-    """Group heads by union key and mark the group containing the standard head.
+# union bitmask -> (columns of the group's first head, member ids in increasing order)
+_Unions = dict[int, tuple[tuple[tuple[int, ...], ...], list[int]]]
 
-    Heads with equal keys feed the greedy extension the same used-element
-    pool, hence produce identical tails; the representative is the
-    lowest-numbered head of each group.  Groups are ordered by representative
-    number.
+
+def _groups(cfg: ModulusConfig, column_count: int, found: _Unions) -> list[DedupGroup]:
+    """One DedupGroup per union, in the order of `found`; the first head represents it."""
+    std_mask = _mask(x for col in standard_partition(cfg, column_count).columns for x in col)
+    return [
+        DedupGroup(Head(cfg, columns, choice_id=ids[0]), tuple(ids), key == std_mask)
+        for key, (columns, ids) in found.items()
+    ]
+
+
+def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
+    """Group heads by union and mark the group containing the standard head.
+
+    Heads with equal unions feed the greedy extension the same used-element
+    pool, hence produce identical tails.  A head without a choice_id is
+    numbered by its position in the list (from 1); the representative is the
+    lowest-numbered head of each group, and groups are ordered by
+    representative number.  Raises InvariantError for a malformed head.
     """
-    groups: dict[tuple[int, ...], list[Head]] = {}
-    for pos, head in enumerate(heads, start=1):
-        if head.choice_id is None:
-            head = Head(head.cfg, head.columns, choice_id=pos)
-        groups.setdefault(head.union_key, []).append(head)
     if not heads:
         return []
-    cfg = heads[0].cfg
-    std = standard_partition(cfg, len(heads[0].columns))
-    std_key = tuple(sorted(x for col in std.columns for x in col))
-    out = []
-    for key, members in groups.items():
-        members.sort(key=lambda h: h.choice_id)
-        out.append(
-            DedupGroup(
-                representative=members[0],
-                member_ids=tuple(h.choice_id for h in members),
-                is_standard=key == std_key,
-            )
-        )
-    out.sort(key=lambda g: g.representative.choice_id)
-    return out
+    ids = [pos if h.choice_id is None else h.choice_id for pos, h in enumerate(heads, start=1)]
+    found: _Unions = {}
+    for head_id, head in sorted(zip(ids, heads), key=lambda pair: pair[0]):
+        mask = _mask(check_columns(head.cfg, head.columns))  # the union, once the head is valid
+        found.setdefault(mask, (head.columns, []))[1].append(head_id)
+    return _groups(heads[0].cfg, len(heads[0].columns), found)
 
 
 def head_groups(
@@ -320,7 +321,7 @@ def head_groups(
     (len(heads), dedup_heads(heads)) for heads = enumerate_heads_general(cfg,
     column_count), at the same node budget.
     """
-    found: dict[int, tuple[tuple[tuple[int, ...], ...], list[int]]] = {}
+    found: _Unions = {}
     count = 0
 
     def leaf(mask: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
@@ -333,12 +334,7 @@ def head_groups(
             group[1].append(count)
 
     _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
-    std_mask = _mask(x for col in standard_partition(cfg, column_count).columns for x in col)
-    groups = [
-        DedupGroup(Head(cfg, columns, choice_id=ids[0]), tuple(ids), key == std_mask)
-        for key, (columns, ids) in found.items()
-    ]
-    return count, groups
+    return count, _groups(cfg, column_count, found)
 
 
 def partition_numbering(groups: list[DedupGroup]) -> dict[int, int]:

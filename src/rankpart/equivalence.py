@@ -5,7 +5,8 @@ finite rank N and the first N columns hold the same elements as multisets.
 At a finite horizon H the decision is necessarily bounded: we locate the last
 differing rank, require it to fall in the first half of the horizon (tail
 agreement over a mere suffix proves nothing), and compare the prefix
-multisets.
+multisets.  These functions compare stored partitions; the census decides
+the same equivalence in one lockstep run (census._group_classes).
 
 For m=5 the twenty deduplicated head extensions collapse into eight classes,
 and each class deviates from the standard partition on explicit *exception
@@ -20,10 +21,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .config import ModulusConfig
 from .errors import HorizonError
-from .greedy import lockstep_classes
-from .partition import Column, Partition, standard_columns, standard_partition
+from .partition import Column, Partition, standard_columns
 
 
 @dataclass(frozen=True)
@@ -236,25 +235,3 @@ def signature_matches(p: Partition, horizon: int) -> list[tuple[int, int]]:
         if witness is not None:
             out.append((class_id, witness))
     return out
-
-
-def standard_equivalent_heads(heads: list, horizon: int) -> set[int]:
-    """Ids of heads whose greedy extension is equivalent to the standard partition.
-
-    The heads and the standard head of the same length run in lockstep (see
-    greedy.lockstep_classes); a head is standard-equivalent when it lands in
-    the standard head's class.  Heads that do not extend to the horizon
-    (forced collision) are never equivalent.  Heads with the standard union
-    merge with the standard head at the head's last rank even when that rank
-    exceeds horizon/2, so below horizon 10 the union alone decides.
-    """
-    if not heads:
-        return set()
-    cfg: ModulusConfig = heads[0].cfg
-    std_head = standard_partition(cfg, len(heads[0].columns)).columns
-    *roots, std_root = lockstep_classes(cfg, [h.columns for h in heads] + [std_head], horizon)
-    return {
-        head.choice_id if head.choice_id is not None else pos
-        for pos, (head, root) in enumerate(zip(heads, roots), start=1)
-        if root is not None and root == std_root
-    }

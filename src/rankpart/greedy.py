@@ -21,11 +21,8 @@ step (`_dense_step`).  Many prefixes advance side by side this way and merge
 where their D sets meet.  `lockstep_classes` sorts the extensions into
 equivalence classes, `lockstep_extensions` returns every extension as the
 standard columns with the deviating ones overridden, and `greedy_extend`
-runs the same engine on one prefix.
-
-`PartitionBuilder` takes the same step densely, one rank at a time over an
-explicit used set.  Nothing in the package uses it; it is kept as the
-reference the engine is tested against.
+runs the same engine on one prefix.  The dense builder it is tested against,
+one rank at a time over an explicit used set, lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -36,64 +33,6 @@ from collections.abc import Iterable, Sequence
 from .config import ModulusConfig
 from .errors import CollisionError, InvariantError, NegativeError
 from .partition import Column, Partition, check_columns, standard_columns, sum_schedule
-
-
-class PartitionBuilder:
-    """Mutable extension state; single-owner, mutated linearly.
-
-    Tracks the used-element set and a low-water cursor below which every
-    integer is known to be used, so each step scans only a short window.
-    """
-
-    def __init__(self, cfg: ModulusConfig, columns: Iterable[Sequence[int]] = ()):
-        self.cfg = cfg
-        self.columns: list[Column] = [tuple(col) for col in columns]
-        self._used = check_columns(cfg, self.columns)
-        # S(n) = step*(n-1) + t*((n-1)//2) + base, as in partition.sum_schedule
-        t = cfg.t
-        self._t = t
-        self._step = (t + 1) ** 2
-        self._base = t * (t + 1) // 2
-        cursor = 0
-        while cursor in self._used:
-            cursor += 1
-        self._cursor = cursor
-
-    @property
-    def next_rank(self) -> int:
-        return len(self.columns) + 1
-
-    def extend_one(self) -> Column:
-        """Fill the next rank; returns the new column."""
-        used = self._used
-        t = self._t
-        picks: list[int] = []
-        v = self._cursor
-        while len(picks) < t:
-            if v not in used:
-                picks.append(v)
-            v += 1
-        n = len(self.columns)
-        last = self._step * n + t * (n // 2) + self._base - sum(picks)
-        if last < 0:
-            raise NegativeError(n + 1, last)
-        if last in used or last in picks:
-            raise CollisionError(n + 1, last)
-        col = (*picks, last)
-        self.columns.append(col)
-        used.update(col)
-        v = picks[0]  # the old cursor, now used
-        while v in used:
-            v += 1
-        self._cursor = v
-        return col
-
-    def extend_to(self, horizon: int) -> None:
-        while len(self.columns) < horizon:
-            self.extend_one()
-
-    def to_partition(self) -> Partition:
-        return Partition(self.cfg, tuple(self.columns))
 
 
 def _next_event(m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset[int]) -> float:
@@ -134,8 +73,8 @@ def _dense_step(
     """Fill rank n+1 from the state (n, D+, D-).
 
     Returns the column, or None where it is the standard column, and the
-    new (D+, D-).  Raises NegativeError or CollisionError with the rank and
-    value that PartitionBuilder.extend_one raises from the same used set.
+    new (D+, D-).  Raises NegativeError for a negative forced entry and
+    CollisionError for one already used, each with the rank and the value.
     """
     tn = t * n
 

@@ -24,9 +24,10 @@ tuple, cached so that every reader at one horizon shares them.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, cycle
 
 from .config import ModulusConfig
 from .errors import HorizonError, InvariantError
@@ -40,6 +41,12 @@ def sum_schedule(cfg: ModulusConfig, n: int) -> int:
         raise ValueError(f"rank must be >= 1, got {n}")
     t = cfg.t
     return (t + 1) ** 2 * (n - 1) + t * ((n - 1) // 2) + t * (t + 1) // 2
+
+
+def _schedule(cfg: ModulusConfig) -> Iterator[int]:
+    """S(1), S(2), ... without end: from t(t+1)/2, steps of (t+1)^2 and (t+1)^2 + t in turn."""
+    t = cfg.t
+    return accumulate(cycle(((t + 1) ** 2, (t + 1) ** 2 + t)), initial=t * (t + 1) // 2)
 
 
 def standard_column(cfg: ModulusConfig, n: int) -> Column:
@@ -122,7 +129,7 @@ def check_columns(
     """
     width = cfg.set_count
     seen: set[int] = set()
-    for idx, col in enumerate(columns, start=1):
+    for idx, (col, want) in enumerate(zip(columns, _schedule(cfg)), start=1):
         if len(col) != width:
             raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
         for x in col:
@@ -132,7 +139,6 @@ def check_columns(
                 raise InvariantError(f"element {x} appears more than once (column {idx})")
             seen.add(x)
         if require_sums:
-            want = sum_schedule(cfg, idx)
             got = sum(col)
             if got != want:
                 raise InvariantError(f"column {idx} sums to {got}, schedule wants {want}")
@@ -146,8 +152,8 @@ def broken_ranks(p: Partition, horizon: int | None = None) -> tuple[int, ...]:
     elif horizon > p.horizon:
         raise HorizonError(f"horizon {horizon} exceeds stored {p.horizon} columns")
     return tuple(
-        n for n in range(1, horizon + 1)
-        if sum(p.columns[n - 1]) != sum_schedule(p.cfg, n)
+        n for n, col, want in zip(range(1, horizon + 1), p.columns, _schedule(p.cfg))
+        if sum(col) != want
     )
 
 

@@ -3,14 +3,21 @@
 These deliberately share no code with rankpart: the decomposition oracle
 buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
-keeping a cursor, and the signature oracle scans every rank forward.  Slow
-but obviously correct.  The one exception is `dense_lockstep`, the dense
-lockstep engine the event-driven one replaced: it steps rank by rank with
-rankpart.PartitionBuilder, which test_greedy holds to `greedy_columns`.
+keeping a cursor, the signature oracle scans every rank forward, and the
+union grouping keys heads by their sorted union tuple.  Slow but obviously
+correct.  The one exception is the dense engine the event-driven one
+replaced: `PartitionBuilder` steps rank by rank over an explicit used set
+(it checks its prefix with rankpart's `check_columns`, and test_greedy holds
+it to `greedy_columns`), and `dense_lockstep` runs one per prefix.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 import rankpart as rp
+from rankpart.partition import check_columns
+
+Column = tuple[int, ...]
 
 
 def decomposition_table(
@@ -157,6 +164,64 @@ def greedy_step(m: int, used: set[int], rank: int) -> tuple[int, ...]:
     return (*picked, last)
 
 
+class PartitionBuilder:
+    """Dense greedy extension state; single-owner, mutated linearly.
+
+    Tracks the used-element set and a low-water cursor below which every
+    integer is known to be used, so each step scans only a short window.
+    """
+
+    def __init__(self, cfg: rp.ModulusConfig, columns: Iterable[Sequence[int]] = ()):
+        self.cfg = cfg
+        self.columns: list[Column] = [tuple(col) for col in columns]
+        self._used = check_columns(cfg, self.columns)
+        # S(n) = step*(n-1) + t*((n-1)//2) + base, as in partition.sum_schedule
+        t = cfg.t
+        self._t = t
+        self._step = (t + 1) ** 2
+        self._base = t * (t + 1) // 2
+        cursor = 0
+        while cursor in self._used:
+            cursor += 1
+        self._cursor = cursor
+
+    @property
+    def next_rank(self) -> int:
+        return len(self.columns) + 1
+
+    def extend_one(self) -> Column:
+        """Fill the next rank; returns the new column."""
+        used = self._used
+        t = self._t
+        picks: list[int] = []
+        v = self._cursor
+        while len(picks) < t:
+            if v not in used:
+                picks.append(v)
+            v += 1
+        n = len(self.columns)
+        last = self._step * n + t * (n // 2) + self._base - sum(picks)
+        if last < 0:
+            raise rp.NegativeError(n + 1, last)
+        if last in used or last in picks:
+            raise rp.CollisionError(n + 1, last)
+        col = (*picks, last)
+        self.columns.append(col)
+        used.update(col)
+        v = picks[0]  # the old cursor, now used
+        while v in used:
+            v += 1
+        self._cursor = v
+        return col
+
+    def extend_to(self, horizon: int) -> None:
+        while len(self.columns) < horizon:
+            self.extend_one()
+
+    def to_partition(self) -> rp.Partition:
+        return rp.Partition(self.cfg, tuple(self.columns))
+
+
 def dense_lockstep(cfg, prefixes, horizon: int):
     """Step one PartitionBuilder per prefix through every rank, merging equal used sets.
 
@@ -170,7 +235,7 @@ def dense_lockstep(cfg, prefixes, horizon: int):
     the sum of their squares (every column sums to the schedule, so plain
     sums are all equal), and every bucket hit is compared exactly.
     """
-    builders = [rp.PartitionBuilder(cfg, cols) for cols in prefixes]
+    builders = [PartitionBuilder(cfg, cols) for cols in prefixes]
     if not builders:
         return [], [], []
     start = len(builders[0].columns)
@@ -222,3 +287,32 @@ def dense_lockstep(cfg, prefixes, horizon: int):
             i = parent[i]
 
     return [None if r in errors else r for r in roots], extension, [errors.get(r) for r in roots]
+
+
+def union_groups(m: int, heads) -> list[tuple[rp.Head, tuple[int, ...], bool]]:
+    """(representative, member ids, is_standard) per union, by sorted union tuple.
+
+    A head without a choice_id is numbered by its position (from 1).  Each
+    group is represented by its lowest-numbered head, carrying that number,
+    and groups are ordered by it; the standard group's union is that of the
+    first len(columns) standard columns, written from the closed form.
+    """
+    t = (m - 1) // 2
+    members: dict[tuple[int, ...], list[tuple[int, rp.Head]]] = {}
+    for pos, head in enumerate(heads, start=1):
+        head_id = pos if head.choice_id is None else head.choice_id
+        key = tuple(sorted(x for col in head.columns for x in col))
+        members.setdefault(key, []).append((head_id, head))
+    if not heads:
+        return []
+    std_key = tuple(sorted(
+        x
+        for n in range(1, len(heads[0].columns) + 1)
+        for x in (*((t + 1) * (n - 1) - n // 2 + i for i in range(1, t + 1)), m * (n - 1))
+    ))
+    out = []
+    for key, group in members.items():
+        group.sort(key=lambda pair: pair[0])
+        rep_id, rep = group[0]
+        out.append((rp.Head(rep.cfg, rep.columns, rep_id), tuple(i for i, _ in group), key == std_key))
+    return sorted(out, key=lambda g: g[1][0])

@@ -105,3 +105,12 @@ def test_both_protocols_share_one_enumeration(census7):
     # the decomposition triple is a five-set story only
     assert excl.decompositions is None
     assert incl.decompositions is None
+
+
+@pytest.mark.parametrize("horizon", [64, 4096])
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_standard_equivalent_heads_match_the_census(m, horizon):
+    heads = rp.enumerate_heads_general(rp.ModulusConfig(m))
+    want = rp.run_census(m, horizon).standard_equivalent
+    assert rp.standard_equivalent_heads(heads, horizon) == set(want)
+    assert want

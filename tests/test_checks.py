@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import rankpart as rp
+import rankpart.checks as checks
 from rankpart.checks import CheckResult, run_verification, verification_passed
 
 FAST_NAMES = {
@@ -53,6 +54,20 @@ def test_injected_swap_is_caught():
     assert not verification_passed(results)
     failed = {r.name for r in results if not r.passed}
     assert "sum-schedule" in failed
+
+
+def test_reshuffle_check_names_a_broken_column_sum(monkeypatch):
+    family_i = checks.reshuffle_family_i
+
+    def broken(p, k_max):
+        cols = list(family_i(p, k_max).columns)
+        cols[40] = cols[40][:-1] + (cols[40][-1] + 5,)  # column 41 sums 5 too high
+        return rp.Partition(p.cfg, tuple(cols))
+
+    monkeypatch.setattr(checks, "reshuffle_family_i", broken)
+    result = by_name(run_verification(5, 256))["reshuffle-identities"]
+    assert not result.passed
+    assert "column 41" in result.detail
 
 
 def test_unknown_injection_rejected():

@@ -78,6 +78,26 @@ def test_generate_rejects_show_beyond_horizon(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+GUARDED = {
+    "generate": ("generate",),
+    "reshuffle": ("reshuffle", "--family", "i", "--kmax", "1"),
+}
+BAD_SIZES = {
+    "show-zero": ("--horizon", "12", "--show", "0"),
+    "show-beyond-horizon": ("--horizon", "12", "--show", "13"),
+    "horizon-zero": ("--horizon", "0", "--show", "1"),
+}
+
+
+@pytest.mark.parametrize("sizes", BAD_SIZES)
+@pytest.mark.parametrize("command", GUARDED)
+def test_table_commands_reject_bad_sizes(capsys, command, sizes):
+    code, out, err = run(capsys, *GUARDED[command], *BAD_SIZES[sizes])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_census_json(capsys):
     code, out, _ = run(capsys, "census", "--m", "5", "--horizon", "256")
     assert code == 0

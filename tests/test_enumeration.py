@@ -1,6 +1,8 @@
 """Head enumeration, sum decompositions, dedup grouping."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,7 @@ import rankpart as rp
 import rankpart.enumeration as enumeration
 from rankpart.errors import ResourceError
 
-from oracles import decomposition_table, head_columns
+from oracles import decomposition_table, head_columns, union_groups
 
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
@@ -258,9 +260,20 @@ def test_head_groups_match_dedup_of_every_head(m):
     count, groups = rp.head_groups(cfg)
     assert count == len(heads)
     got = [(g.representative, g.member_ids, g.is_standard) for g in groups]
-    want = [(g.representative, g.member_ids, g.is_standard) for g in rp.dedup_heads(heads)]
-    assert got == want
+    assert got == union_groups(m, heads)
     assert sum(g.is_standard for g in groups) == 1
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_dedup_heads_groups_shuffled_and_unnumbered_heads_like_the_oracle(m):
+    rng = random.Random(m)
+    heads = rp.enumerate_heads_general(rp.ModulusConfig(m))
+    rng.shuffle(heads)
+    heads = [rp.Head(h.cfg, h.columns) if rng.random() < 0.3 else h for h in heads]
+    assert any(h.choice_id is None for h in heads)
+    got = [(g.representative, g.member_ids, g.is_standard) for g in rp.dedup_heads(heads)]
+    assert got == union_groups(m, heads)
+    assert [rep.choice_id for rep, _, _ in got] == sorted(ids[0] for _, ids, _ in got)
 
 
 def count_nodes(monkeypatch, search) -> int:

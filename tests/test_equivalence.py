@@ -231,6 +231,17 @@ def test_standard_equivalence_skips_dead_heads():
     assert rp.standard_equivalent_heads([live, dead], 512) == {1}
 
 
+def test_a_malformed_head_sharing_a_valid_union_is_rejected(heads36):
+    # swapping entries across columns keeps the union but breaks two sums
+    cols = [list(col) for col in heads36[0].columns]
+    cols[0][0], cols[1][0] = cols[1][0], cols[0][0]
+    bad = rp.Head(rp.ModulusConfig(5), tuple(tuple(col) for col in cols), choice_id=99)
+    for call in (lambda: rp.dedup_heads([heads36[0], bad]),
+                 lambda: rp.standard_equivalent_heads([heads36[0], bad], 256)):
+        with pytest.raises(rp.InvariantError, match="column 1 sums to"):
+            call()
+
+
 # odd horizons put the first rank of the compared second half at H//2 + 1
 ORACLE_HORIZONS = (2048, 2049, 4097)
 

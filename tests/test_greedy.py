@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import rankpart as rp
 from rankpart.errors import CollisionError, InvariantError, NegativeError
 
-from oracles import greedy_columns
+from oracles import PartitionBuilder, greedy_columns
 
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
@@ -33,7 +33,7 @@ def test_empty_prefix_reaches_standard_content():
 
 
 def test_builder_steps_one_rank_at_a_time():
-    b = rp.PartitionBuilder(M5, (rp.standard_column(M5, 1),))
+    b = PartitionBuilder(M5, (rp.standard_column(M5, 1),))
     assert b.next_rank == 2
     assert b.extend_one() == (3, 4, 5)
     assert b.next_rank == 3
@@ -116,15 +116,15 @@ def test_extension_collision_on_dead_head():
 
 def test_builder_rejects_broken_prefixes():
     with pytest.raises(InvariantError):
-        rp.PartitionBuilder(M5, ((1, 1, 1),))
+        PartitionBuilder(M5, ((1, 1, 1),))
     with pytest.raises(InvariantError):
-        rp.PartitionBuilder(M5, ((1, 2, 4),))  # sum 7, schedule wants 3
+        PartitionBuilder(M5, ((1, 2, 4),))  # sum 7, schedule wants 3
     with pytest.raises(InvariantError):
-        rp.PartitionBuilder(M5, ((1, 2, 0), (3, 4),))
+        PartitionBuilder(M5, ((1, 2, 0), (3, 4),))
     with pytest.raises(InvariantError):
-        rp.PartitionBuilder(M5, ((1, 2, 0), (3, 4, -2),))
+        PartitionBuilder(M5, ((1, 2, 0), (3, 4, -2),))
     with pytest.raises(InvariantError):
-        rp.PartitionBuilder(M5, ((1, 2, 0), (3, 4, 1),))  # reuses 1
+        PartitionBuilder(M5, ((1, 2, 0), (3, 4, 1),))  # reuses 1
 
 
 def test_extension_is_deterministic():
@@ -142,7 +142,7 @@ def test_extensions_stay_valid(idx, horizon):
 
 
 def test_extend_to_is_idempotent_past_target():
-    b = rp.PartitionBuilder(M5, HEADS[0].columns)
+    b = PartitionBuilder(M5, HEADS[0].columns)
     b.extend_to(20)
     b.extend_to(12)  # lower target: nothing removed
     assert b.to_partition().horizon == 20
@@ -165,7 +165,7 @@ def test_dead_head_fails_at_a_pinned_rank_and_value(m, head, rank, value):
     with pytest.raises(CollisionError) as exc:
         rp.greedy_extend(cfg, head, 256)
     assert (exc.value.rank, exc.value.value) == (rank, value)
-    b = rp.PartitionBuilder(cfg, head)
+    b = PartitionBuilder(cfg, head)
     b.extend_to(rank - 1)
     with pytest.raises(CollisionError) as exc:
         b.extend_one()

