@@ -56,28 +56,36 @@ def _check_sum_schedule(cfg: ModulusConfig, p: Partition, horizon: int) -> Check
         n = broken[0]
         got, want = sum(p.column(n)), sum_schedule(cfg, n)
         return CheckResult("sum-schedule", False, f"column {n} sums to {got}, schedule wants {want}")
-    t = cfg.t
+    t, m5 = cfg.t, cfg.m == 5
+    step = (t + 1) ** 2
+    previous = None
     for n in range(1, horizon + 1):
         want = sum_schedule(cfg, n)
-        if cfg.m == 5 and want != 11 * n - 2 * (n // 2) - 8:
+        if m5 and want != 11 * n - 2 * (n // 2) - 8:
             return CheckResult("sum-schedule", False, f"m=5 closed form disagrees at rank {n}")
-        if n > 1:
-            diff = want - sum_schedule(cfg, n - 1)
-            expected = (t + 1) ** 2 + (t if n % 2 == 1 else 0)
+        if previous is not None:
+            diff = want - previous
+            expected = step + t if n % 2 == 1 else step
             if diff != expected:
                 return CheckResult(
                     "sum-schedule", False, f"difference at rank {n} is {diff}, expected {expected}"
                 )
+        previous = want
     return CheckResult("sum-schedule", True, f"{horizon} columns follow the schedule")
 
 
 def _check_residues(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult:
-    for n in range(1, horizon + 1):
-        for i, x in enumerate(p.column(n), start=1):
-            if residue_set_index(cfg, x) != i:
+    # the standard set of each residue mod m, read once; entry i of every column belongs to set i
+    m = cfg.m
+    residue_set = [residue_set_index(cfg, r) for r in range(m)]
+    for col in p.columns[:horizon]:
+        i = 1
+        for x in col:
+            if residue_set[x % m] != i:
                 return CheckResult(
-                    "residue-membership", False, f"element {x} sits in set {i}, residue says {residue_set_index(cfg, x)}"
+                    "residue-membership", False, f"element {x} sits in set {i}, residue says {residue_set[x % m]}"
                 )
+            i += 1
     return CheckResult("residue-membership", True, f"all elements through rank {horizon} match their residue set")
 
 

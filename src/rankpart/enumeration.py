@@ -10,17 +10,23 @@ key.
 
 One depth-first search finds every head (`_search`).  It holds the used
 elements as an integer bitmask and fills each column from the list of values
-still free, pruning a branch as soon as the least sum of the next free values
-exceeds what the column has left; the last part of a column is forced.  The
-same routine writes a single total as distinct parts (`sum_decompositions`).
-Heads come out in lexicographic order of their columns and are numbered 1, 2,
-... in that order.  `head_groups` keys each head by its union bitmask as it
-is found and builds a Head only for the first of each group, so a census
-never holds one object per head (199 513 heads fall into 1 563 groups at
-m=13); `enumerate_heads_general` builds them all and `head_by_id` stops at
-the one it is asked for.  `dedup_heads` keys a list of heads that a caller
-supplies by the same bitmask, and both hand their groups to one builder
-(`_groups`).
+still free, pruning a branch as soon as the least sum of the next free
+values exceeds what the column has left; the last part of a column is
+forced.  A column's choices depend only on the used mask, which also fixes
+the column (every column adds the same number of values), so the search
+finds them once per mask and reuses them on every repeat visit, charging the
+node budget for each visit as if it had searched again.  The last column
+reaches the caller as one batch per visit: the earlier columns and the
+bitmasks of every completion.  The same routine writes a single total as
+distinct parts (`sum_decompositions`).  Heads come out in lexicographic order
+of their columns and are numbered 1, 2, ... in that order.  `head_groups`
+keys each head by its union bitmask, works out once per prefix mask which
+group each completion joins and builds a Head only for the first of each
+group, so a census never holds one object per head (199 513 heads fall into
+1 563 groups at m=13); `enumerate_heads_general` builds them all and
+`head_by_id` skips whole batches until it reaches the one it is asked for.
+`dedup_heads` keys a list of heads that a caller supplies by the same
+bitmask, and both hand their groups to one builder (`_groups`).
 
 For m=5 the search is tiny: columns 1 and 2 are forced to {0,1,2} and
 {3,4,5}, column 3 has two choices, column 4 six, and 36 heads survive in
@@ -62,8 +68,8 @@ class _Budget:
         self.limit = limit
         self.nodes = 0
 
-    def spend(self) -> None:
-        self.nodes += 1
+    def charge(self, k: int) -> None:
+        self.nodes += k
         if self.nodes > self.limit:
             raise ResourceError(f"enumeration exceeded node budget of {self.limit}")
 
@@ -71,6 +77,16 @@ class _Budget:
 def _mask(values) -> int:
     """Bitmask with bit x set for every distinct value x."""
     return sum(1 << x for x in set(values))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask in increasing order: a column's parts from its bitmask."""
+    parts = []
+    while mask:
+        low = mask & -mask
+        parts.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(parts)
 
 
 def _search(
@@ -83,27 +99,39 @@ def _search(
     """Fill one column per total with `size` distinct values, none set in mask.
 
     Columns are filled left to right, each avoiding the mask and every
-    earlier column, and each column's parts come out in increasing,
-    lexicographic order.  Every completed choice calls leaf(union_mask,
-    columns, parts): columns holds the earlier columns as tuples, shared by
-    every choice that extends them, and parts the last column's parts.  Both
-    lists are reused, so a leaf that keeps them must copy them.
+    earlier column, and each column's choices come out in increasing,
+    lexicographic order of their parts.  Every visit of the last column calls
+    leaf(prefix_mask, columns, choices) once: prefix_mask is the mask of the
+    earlier columns, columns holds those columns as tuples, and choices lists
+    the last column's completions as bitmasks of their parts, in search
+    order.  The columns list is reused and the choices list is shared by
+    every visit with the same prefix mask, so a leaf must not change them and
+    must copy what it keeps.
 
-    A column draws its parts from the list of free values.  A part at index j
-    of that list with k parts still to place needs free[j] + ... + free[j+k-1]
-    <= the remaining sum, read off prefix sums; the first j that fails ends
-    the loop.  The last part is forced to the remaining sum and must be free;
-    the bound on the part before it already makes it at least the next free
-    value, so parts increase.  Every call of `fill` is one node and spends one
-    unit of the budget.
+    A column's choices depend only on the column index and the mask of
+    values already used, and the mask fixes the index: every column adds
+    `size` bits to it.  So they are found once per mask and reused on every
+    later visit with the same mask (the last column of m=13 is visited 552
+    times with 77 distinct masks).  To find them, a column draws its parts
+    from the list of free values.  A part at index j of that list with k
+    parts still to place needs free[j] + ... + free[j+k-1] <= the remaining
+    sum, read off prefix sums; the first j that fails ends the loop.  The
+    last part is forced to the remaining sum and must be free; the bound on
+    the part before it already makes it at least the next free value, so
+    parts increase.  Every call of `fill` is one node.  Each visit of a column
+    charges the budget with the nodes its choices took to find, first visit
+    or not, so the total over a full search equals the nodes of a search
+    without reuse.
     """
     columns: list[tuple[int, ...]] = []
     last = len(totals) - 1
-    spend = budget.spend
+    charge = budget.charge
+    seen: dict[int, tuple[list[int], int]] = {}  # used mask -> (choices, nodes)
 
-    def column(c: int, mask: int) -> None:
+    def column_choices(c: int, mask: int) -> tuple[list[int], int]:
+        """Bitmasks of every way to fill column c avoiding mask, and the nodes spent."""
         total = totals[c]
-        parts: list[int] = []
+        found: list[int] = []
         # A part is at most the total less the size-1 least free values.
         free: list[int] = []
         pre = [0]
@@ -118,30 +146,39 @@ def _search(
             v += 1
         n = len(free)
 
-        def fill(i: int, rem: int, k: int, mask: int) -> None:
-            spend()
+        def fill(i: int, rem: int, k: int, parts: int) -> int:
             if k == 1:
                 if not mask >> rem & 1:
-                    parts.append(rem)
-                    if c == last:
-                        leaf(mask | 1 << rem, columns, parts)
-                    else:
-                        columns.append(tuple(parts))
-                        column(c + 1, mask | 1 << rem)
-                        columns.pop()
-                    parts.pop()
-                return
+                    found.append(parts | 1 << rem)
+                return 1
+            nodes = 1
             j = i
             while j + k <= n and pre[j + k] - pre[j] <= rem:
                 v = free[j]
-                parts.append(v)
-                fill(j + 1, rem - v, k - 1, mask | 1 << v)
-                parts.pop()
+                nodes += fill(j + 1, rem - v, k - 1, parts | 1 << v)
                 j += 1
+            return nodes
 
-        fill(0, total, size, mask)
+        return found, fill(0, total, size, 0)
 
-    column(0, mask)
+    def visit(c: int, mask: int) -> None:
+        known = seen.get(mask)
+        if known is None:
+            known = seen[mask] = column_choices(c, mask)
+        choices, nodes = known
+        charge(nodes)
+        if c == last:
+            leaf(mask, columns, choices)
+            return
+        for part in choices:
+            columns.append(_bits(part))
+            visit(c + 1, mask | part)
+            columns.pop()
+
+    try:
+        visit(0, mask)
+    finally:
+        seen.clear()  # visit refers to itself, so only the cyclic collector would free it
 
 
 def _head_totals(cfg: ModulusConfig, column_count: int) -> list[int]:
@@ -179,7 +216,7 @@ def sum_decompositions(
         return []
     out: list[tuple[int, ...]] = []
     mask = (1 << min_value) - 1 | _mask(x for x in excluded if 0 <= x <= total)
-    _search([total], size, mask, _Budget(math.inf), lambda _, __, parts: out.append(tuple(parts)))
+    _search([total], size, mask, _Budget(math.inf), lambda _, __, parts: out.extend(map(_bits, parts)))
     return out
 
 
@@ -215,7 +252,8 @@ def enumerate_heads_general(
     heads: list[Head] = []
 
     def leaf(_: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
-        heads.append(Head(cfg, (*columns, tuple(parts)), choice_id=len(heads) + 1))
+        for part in parts:
+            heads.append(Head(cfg, (*columns, _bits(part)), choice_id=len(heads) + 1))
 
     _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
     return heads
@@ -233,17 +271,20 @@ def head_by_id(
 ) -> Head:
     """The head numbered head_id in the order of enumerate_heads_general.
 
-    The search counts heads and stops at the requested one, building only
-    that Head.  An id outside 1..N runs the whole search to find N and
-    raises ValueError; ResourceError as for enumerate_heads_general.
+    The search counts heads, skipping each batch of last columns that ends
+    before the requested id, and stops at the requested one, building only
+    that Head.  Every column it opens is charged to the budget in full, the
+    one holding the requested head included.  An id outside 1..N runs the
+    whole search to find N and raises ValueError; ResourceError as for
+    enumerate_heads_general.
     """
     count = 0
 
     def leaf(_: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
         nonlocal count
-        count += 1
-        if count == head_id:
-            raise _Found(Head(cfg, (*columns, tuple(parts)), choice_id=head_id))
+        if count < head_id <= count + len(parts):
+            raise _Found(Head(cfg, (*columns, _bits(parts[head_id - count - 1])), choice_id=head_id))
+        count += len(parts)
 
     try:
         _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
@@ -317,21 +358,30 @@ def head_groups(
 
     Heads are numbered 1, 2, ... in the order of enumerate_heads_general and
     keyed by the bitmask of their union as the search finds them; only the
-    first head of each group is built.  The result equals
+    first head of each group is built.  The groups a batch of last columns
+    joins are looked up once per prefix mask, and every later batch with
+    that mask appends its ids to the same lists.  The result equals
     (len(heads), dedup_heads(heads)) for heads = enumerate_heads_general(cfg,
     column_count), at the same node budget.
     """
     found: _Unions = {}
+    # prefix mask -> the member-id list of each completion's group, in search order
+    slots: dict[int, list[list[int]]] = {}
     count = 0
 
     def leaf(mask: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
         nonlocal count
-        count += 1
-        group = found.get(mask)
-        if group is None:
-            found[mask] = ((*columns, tuple(parts)), [count])
-        else:
-            group[1].append(count)
+        lists = slots.get(mask)
+        if lists is None:
+            lists = slots[mask] = []
+            for part in parts:
+                group = found.get(mask | part)
+                if group is None:
+                    group = found[mask | part] = ((*columns, _bits(part)), [])
+                lists.append(group[1])
+        for ids, head_id in zip(lists, range(count + 1, count + len(parts) + 1)):
+            ids.append(head_id)
+        count += len(parts)
 
     _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
     return count, _groups(cfg, column_count, found)

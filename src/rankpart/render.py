@@ -36,12 +36,38 @@ def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _indented(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for dicts with string keys, lists and scalars.
+
+    The standard encoder runs in pure Python whenever indent is set; here a
+    list of ints, such as a group's member ids, is written in one join.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{json.dumps(k)}: {_indented(value[k], inner)}" for k in sorted(value))
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(str, value)
+        else:
+            items = (_indented(x, inner) for x in value)
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    return json.dumps(value)
+
+
 def render_census(reports: list[CensusReport], fmt: str = "json") -> str:
-    """One or more census reports as JSON (list collapses to a single object)."""
+    """One or more census reports as JSON (list collapses to a single object).
+
+    The JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
+    """
     docs = [r.to_dict() for r in reports]
     if fmt == "json":
-        payload = docs[0] if len(docs) == 1 else docs
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _indented(docs[0] if len(docs) == 1 else docs) + "\n"
     if fmt == "csv":
         lines = ["protocol,field,value"]
         for doc in docs:

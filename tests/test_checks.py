@@ -70,6 +70,20 @@ def test_reshuffle_check_names_a_broken_column_sum(monkeypatch):
     assert "column 41" in result.detail
 
 
+@pytest.mark.parametrize("m, rank, order, detail", [
+    (5, 3, (1, 0, 2), "element 7 sits in set 1, residue says 2"),
+    (7, 2, (3, 1, 2, 0), "element 7 sits in set 1, residue says 4"),
+    (9, 200, (0, 1, 2, 4, 3), "element 1791 sits in set 4, residue says 5"),
+])
+def test_residue_check_names_an_element_in_the_wrong_set(m, rank, order, detail):
+    cfg = rp.ModulusConfig(m)
+    cols = list(rp.standard_partition(cfg, 256).columns)
+    cols[rank - 1] = tuple(cols[rank - 1][i] for i in order)
+    result = checks._check_residues(cfg, rp.Partition(cfg, tuple(cols)), 256)
+    assert result == CheckResult("residue-membership", False, detail)
+    assert checks._check_residues(cfg, rp.standard_partition(cfg, 256), 256).passed
+
+
 def test_unknown_injection_rejected():
     with pytest.raises(ValueError):
         run_verification(5, 256, inject="gamma-rays")

@@ -277,20 +277,20 @@ def test_dedup_heads_groups_shuffled_and_unnumbered_heads_like_the_oracle(m):
 
 
 def count_nodes(monkeypatch, search) -> int:
-    spent = []
-    spend = enumeration._Budget.spend
+    charged = []
+    charge = enumeration._Budget.charge
 
-    def counting(self):
-        spent.append(None)
-        spend(self)
+    def counting(self, k):
+        charged.append(k)
+        charge(self, k)
 
     with monkeypatch.context() as patch:
-        patch.setattr(enumeration._Budget, "spend", counting)
+        patch.setattr(enumeration._Budget, "charge", counting)
         search()
-    return len(spent)
+    return sum(charged)
 
 
-@pytest.mark.parametrize("m, nodes", [(5, 77), (7, 615), (9, 5447)])
+@pytest.mark.parametrize("m, nodes", [(5, 77), (7, 615), (9, 5447), (11, 39027), (13, 294588)])
 def test_search_node_counts(monkeypatch, m, nodes):
     cfg = rp.ModulusConfig(m)
     assert count_nodes(monkeypatch, lambda: rp.head_groups(cfg)) == nodes
@@ -304,6 +304,22 @@ def test_node_budget_is_spent_once_per_node(monkeypatch):
         search(M7, node_budget=nodes)
         with pytest.raises(ResourceError, match=f"node budget of {nodes - 1}"):
             search(M7, node_budget=nodes - 1)
+
+
+def test_interleaved_searches_share_no_state():
+    # each search reuses column choices within its own call only
+    def snapshot(cfg):
+        count, groups = rp.head_groups(cfg)
+        heads = rp.enumerate_heads_general(cfg)
+        picks = [rp.head_by_id(cfg, head_id) for head_id in (1, count // 3, count)]
+        return count, groups, heads, picks, rp.sum_decompositions(40, 3, excluded={4, 9})
+
+    first = {m: snapshot(rp.ModulusConfig(m)) for m in (7, 9)}
+    for m in (9, 7, 9):
+        assert snapshot(rp.ModulusConfig(m)) == first[m]
+    count, groups, heads, picks, _ = first[9]
+    assert picks == [heads[0], heads[count // 3 - 1], heads[-1]]
+    assert [g.member_ids for g in groups] == [ids for _, ids, _ in union_groups(9, heads)]
 
 
 def test_head_groups_short_prefix_and_guards():

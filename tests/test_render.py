@@ -1,6 +1,7 @@
 """Output formatting for tables, reports, and check summaries."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -57,6 +58,34 @@ def test_census_json_object_and_list():
     docs = json.loads(render_census(list(both)))
     assert [d["protocol"] for d in docs] == [
         "exclude-standard", "include-standard"]
+
+
+def encoded(reports) -> str:
+    docs = [r.to_dict() for r in reports]
+    return json.dumps(docs[0] if len(docs) == 1 else docs, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
+@pytest.mark.parametrize("horizon", [16, 64])
+def test_census_json_equals_the_standard_indent_encoder(m, horizon):
+    both = list(rp.run_census_both(m, horizon))
+    # m = 5, 9 and 13 have no non-extendable head; no census has an empty standard class, so copies give one
+    emptied = [dataclasses.replace(r, standard_equivalent=(), class_members=()) for r in both]
+    for reports in ([both[0]], [both[1]], both, emptied, emptied[:1]):
+        assert render_census(reports) == encoded(reports)
+    assert (m == 5) == (both[0].partition_numbers is not None)
+    assert all((not r.non_extendable) == (m in (5, 9, 13)) for r in both)
+
+
+def test_census_json_writer_handles_every_kind_of_value():
+    report = dataclasses.replace(
+        rp.run_census(5, 16), protocol="caf\u00e9 \"q\"\n", group_members=((), (1,), (2, 3)),
+        partition_numbers=(), decompositions=(0, 1, 2),
+    )
+    doc = report.to_dict()
+    assert doc["partition_numbers"] == {} and doc["group_members"][0] == []
+    assert render_census([report]) == encoded([report])
+    assert render_census([]) == "[]\n" == encoded([])
 
 
 def test_census_csv_flattens_fields():
