@@ -132,16 +132,17 @@ def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
 
 def _check_reshuffles(cfg: ModulusConfig, horizon: int) -> CheckResult:
     std = standard_partition(cfg, horizon)
+    cols = std.columns
     k_i = horizon // 6
     k_ii = max((horizon - 4) // 6, 0)
     for k in range(1, k_i + 1):
-        a = std.column(4 * k)[0] + std.column(4 * k)[2]
-        b = std.column(6 * k - 1)[0] + std.column(6 * k - 1)[1]
+        a = cols[4 * k - 1][0] + cols[4 * k - 1][2]
+        b = cols[6 * k - 2][0] + cols[6 * k - 2][1]
         if not a == b == 30 * k - 7:
             return CheckResult("reshuffle-identities", False, f"family i pair sums differ at k={k}")
     for k in range(k_ii):
-        a = std.column(4 * k + 3)[1] + std.column(4 * k + 3)[2]
-        b = std.column(6 * k + 4)[0] + std.column(6 * k + 4)[1]
+        a = cols[4 * k + 2][1] + cols[4 * k + 2][2]
+        b = cols[6 * k + 3][0] + cols[6 * k + 3][1]
         if not a == b == 30 * k + 17:
             return CheckResult("reshuffle-identities", False, f"family ii pair sums differ at k={k}")
     for result in (reshuffle_family_i(std, k_i), reshuffle_family_ii(std, k_ii)):

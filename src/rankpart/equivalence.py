@@ -7,6 +7,7 @@ differing rank, require it to fall in the first half of the horizon (tail
 agreement over a mere suffix proves nothing), and compare the prefix
 multisets.  These functions compare stored partitions; the census decides
 the same equivalence in one lockstep run (census._group_classes).
+`equivalent_up_to` and `classify` compare whole columns.
 
 For m=5 the twenty deduplicated head extensions collapse into eight classes,
 and each class deviates from the standard partition on explicit *exception
@@ -14,7 +15,9 @@ families*: geometric rank progressions a*2^k + b at which a fixed triple
 (expressed in 2^k) replaces the standard column.  Checking a partition
 against a class signature is exact arithmetic, no heuristics: away from
 family ranks the column must be standard, on family ranks it must equal the
-variant triple entrywise.
+variant triple entrywise.  Both that check and `diff_vs_standard` read only
+the partition's deviation map (`Partition.deviations`) and the family ranks,
+so their cost grows with the number of deviations, not with the horizon.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import HorizonError
-from .partition import Column, Partition, standard_columns
+from .partition import Column, Partition, standard_column
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,8 @@ def classify(partitions: list[Partition], horizon: int) -> list[list[int]]:
 def diff_vs_standard(p: Partition, horizon: int) -> list[tuple[int, Column, Column]]:
     """Ranks where p differs from the standard partition, with both columns."""
     _require_stored(p, horizon)
-    std = standard_columns(p.cfg, horizon)
     return [
-        (n, std[n - 1], p.columns[n - 1])
-        for n in range(1, horizon + 1)
-        if p.columns[n - 1] != std[n - 1]
+        (n, standard_column(p.cfg, n), col) for n, col in p.deviations.items() if n <= horizon
     ]
 
 
@@ -204,21 +204,20 @@ def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | 
     A rank conforms when it carries the family variant (on family positions)
     or the standard column (elsewhere).  The returned witness is 0 for a
     perfectly conforming partition and must not exceed horizon/2; beyond
-    that the signature is rejected and None is returned.  The second half is
-    compared in one slice, then the first half is walked down from H/2.
+    that the signature is rejected and None is returned.  Off the family
+    ranks and p's deviating ranks both sides are standard, so only those
+    ranks are compared, from the top down.
     """
     _require_stored(p, horizon)
-    std = standard_columns(p.cfg, horizon)
-    expected = list(std)
-    for fam in sig.families:
+    expected: dict[int, Column] = {}
+    for fam in sig.families:  # a later family overrides an earlier one at a shared rank
         for k, rank in fam.positions_up_to(horizon):
-            expected[rank - 1] = fam.variant_at(k)
-    half = horizon // 2
-    if p.columns[half:horizon] != tuple(expected[half:]):
-        return None
-    for n in range(half, 0, -1):
-        if p.columns[n - 1] != expected[n - 1]:
-            return n
+            expected[rank] = fam.variant_at(k)
+    devs = p.deviations
+    for n in sorted({n for n in devs if n <= horizon} | expected.keys(), reverse=True):
+        std = standard_column(p.cfg, n)
+        if devs.get(n, std) != expected.get(n, std):
+            return n if n <= horizon // 2 else None
     return 0
 
 

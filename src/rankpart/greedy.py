@@ -20,7 +20,8 @@ column and leaves D as it is, so the builder jumps there and takes one dense
 step (`_dense_step`).  Many prefixes advance side by side this way and merge
 where their D sets meet.  `lockstep_classes` sorts the extensions into
 equivalence classes, `lockstep_extensions` returns every extension as the
-standard columns with the deviating ones overridden, and `greedy_extend`
+standard columns with the deviating ones overridden, handing over the map of
+deviating columns as the partition's deviation map, and `greedy_extend`
 runs the same engine on one prefix.  The dense builder it is tested against,
 one rank at a time over an explicit used set, lives in tests/oracles.py.
 """
@@ -207,11 +208,11 @@ def _run_lockstep(
 
 
 def _materialise(cfg: ModulusConfig, horizon: int, deviations: dict[int, Column]) -> Partition:
-    """The partition whose columns are standard except at the deviating ranks."""
+    """The partition whose columns are standard except at the deviating ranks, carrying that map."""
     columns = list(standard_columns(cfg, horizon))
     for rank, col in deviations.items():
         columns[rank - 1] = col
-    return Partition(cfg, tuple(columns))
+    return Partition(cfg, tuple(columns), deviations)
 
 
 def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon: int) -> Partition:
@@ -286,7 +287,8 @@ def lockstep_extensions(
     rank where its used set met an earlier builder's, then that builder's
     extension, since greedy extension from equal used sets is the same.  The
     run keeps only each builder's deviating columns; full columns are built
-    at the end over the shared standard columns.  Raises as lockstep_classes
+    at the end over the shared standard columns, and each partition carries
+    its deviating columns as its deviation map.  Raises as lockstep_classes
     does.
     """
     parent, roots, held, deviations, _ = _run_lockstep(cfg, prefixes, horizon)
@@ -298,7 +300,7 @@ def lockstep_extensions(
             full.append(deviations[i])
         else:
             inherited = {rank: col for rank, col in full[j].items() if rank > held[i]}
-            full.append(inherited | deviations[i])
+            full.append(deviations[i] | inherited)  # own ranks are <= held[i]: rank order
     return [None if devs is None else _materialise(cfg, horizon, devs) for devs in full]
 
 

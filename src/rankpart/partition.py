@@ -21,11 +21,17 @@ module calls them: `check_columns` checks width, non-negative and distinct
 elements and the schedule sums, `broken_ranks` is the one scan of column sums
 against the schedule, and `standard_columns` builds every standard column
 tuple, cached so that every reader at one horizon shares them.
+
+A partition also carries its deviation map: rank -> column wherever it is
+not standard.  The greedy engine hands over the map it keeps; any other
+partition scans its columns once, on first read.  `signature_witness` and
+`diff_vs_standard` read only the map; `classify`, `equivalent_up_to` and the
+stored `columns` stay dense.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, cycle
 
@@ -76,15 +82,27 @@ class Partition:
 
     columns[n-1] is the rank-n column; entry i-1 of a column belongs to set i.
     The object is immutable; construction does not validate, call
-    :meth:`validate` to check the invariants explicitly.
+    :meth:`validate` to check the invariants explicitly.  A builder that
+    already knows the deviation map passes it as the third argument; it is
+    trusted as given and left out of equality, hashing and repr.
     """
 
     cfg: ModulusConfig
     columns: tuple[Column, ...]
+    _deviations: dict[int, Column] | None = field(default=None, compare=False, repr=False)
 
     @property
     def horizon(self) -> int:
         return len(self.columns)
+
+    @property
+    def deviations(self) -> dict[int, Column]:
+        """Rank -> column at every stored non-standard rank, in rank order; cached, do not mutate."""
+        if self._deviations is None:
+            std = standard_columns(self.cfg, self.horizon)
+            devs = {n: col for n, (col, want) in enumerate(zip(self.columns, std), 1) if col != want}
+            object.__setattr__(self, "_deviations", devs)
+        return self._deviations
 
     def column(self, n: int) -> Column:
         """The rank-n column, 1-based."""

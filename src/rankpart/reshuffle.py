@@ -49,10 +49,13 @@ def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]
     """
     _check_slot(p, spec.first)
     _check_slot(p, spec.second)
-    cols = [list(col) for col in p.columns]
+    cols = list(p.columns)
     (i1, n1), (i2, n2) = spec.first, spec.second
-    cols[n1 - 1][i1 - 1], cols[n2 - 1][i2 - 1] = cols[n2 - 1][i2 - 1], cols[n1 - 1][i1 - 1]
-    q = Partition(p.cfg, tuple(tuple(col) for col in cols))
+    x, y = cols[n1 - 1][i1 - 1], cols[n2 - 1][i2 - 1]
+    for i, n, v in ((i1, n1, y), (i2, n2, x)):  # in turn, so one column may hold both slots
+        col = cols[n - 1]
+        cols[n - 1] = (*col[:i - 1], v, *col[i:])
+    q = Partition(p.cfg, tuple(cols))
     return q, broken_ranks(q)
 
 
@@ -65,11 +68,12 @@ def reshuffle_family_i(p: Partition, k_max: int) -> Partition:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if p.horizon < 6 * k_max:
         raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max}")
-    cols = [list(col) for col in p.columns]
-    for k in range(1, k_max + 1):
+    cols = list(p.columns)
+    for k in range(1, k_max + 1):  # ranks 4k are even and 6k-1 odd, so no column is touched twice
         a, b = cols[4 * k - 1], cols[6 * k - 2]
-        a[0], a[2], b[0], b[1] = b[0], b[1], a[0], a[2]
-    return Partition(p.cfg, tuple(tuple(col) for col in cols))
+        cols[4 * k - 1] = (b[0], a[1], b[1], *a[3:])
+        cols[6 * k - 2] = (a[0], a[2], *b[2:])
+    return Partition(p.cfg, tuple(cols))
 
 
 def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
@@ -81,11 +85,12 @@ def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if k_max and p.horizon < 6 * k_max + 4:
         raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max + 4}")
-    cols = [list(col) for col in p.columns]
-    for k in range(k_max):
+    cols = list(p.columns)
+    for k in range(k_max):  # ranks 4k+3 are odd and 6k+4 even, so no column is touched twice
         a, b = cols[4 * k + 2], cols[6 * k + 3]
-        a[1], a[2], b[0], b[1] = b[0], b[1], a[1], a[2]
-    return Partition(p.cfg, tuple(tuple(col) for col in cols))
+        cols[4 * k + 2] = (a[0], b[0], b[1], *a[3:])
+        cols[6 * k + 3] = (a[1], a[2], *b[2:])
+    return Partition(p.cfg, tuple(cols))
 
 
 def verify_sum_pattern(p: Partition, horizon: int) -> bool:

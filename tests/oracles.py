@@ -3,9 +3,9 @@
 These deliberately share no code with rankpart: the decomposition oracle
 buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
-keeping a cursor, the signature oracle scans every rank forward, and the
-union grouping keys heads by their sorted union tuple.  Slow but obviously
-correct.  The one exception is the dense engine the event-driven one
+keeping a cursor, the signature and deviation oracles scan every rank
+forward, and the union grouping keys heads by their sorted union tuple.
+Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
 it to `greedy_columns`), and `dense_lockstep` runs one per prefix.
@@ -118,6 +118,13 @@ def head_columns(m: int, column_count: int = 5) -> list[tuple[tuple[int, ...], .
     return heads
 
 
+def standard_column(m: int, n: int) -> tuple[int, ...]:
+    """The rank-n standard column, written from its closed form."""
+    t = (m - 1) // 2
+    base = (t + 1) * (n - 1) - n // 2
+    return tuple(base + i for i in range(1, t + 1)) + (m * (n - 1),)
+
+
 def signature_witness_scan(m: int, columns, families, horizon: int) -> int | None:
     """Last rank off a signature's pattern, by one forward scan over every rank.
 
@@ -126,11 +133,7 @@ def signature_witness_scan(m: int, columns, families, horizon: int) -> int | Non
     family's variant c*2^k + d entrywise; later families overwrite earlier
     ones.  Returns None when the last mismatch lies beyond horizon/2.
     """
-    t = (m - 1) // 2
-    expected = []
-    for n in range(1, horizon + 1):
-        base = (t + 1) * (n - 1) - n // 2
-        expected.append(tuple(base + i for i in range(1, t + 1)) + (m * (n - 1),))
+    expected = [standard_column(m, n) for n in range(1, horizon + 1)]
     for fam in families:
         a, b = fam.position
         k = fam.k_min
@@ -142,6 +145,15 @@ def signature_witness_scan(m: int, columns, families, horizon: int) -> int | Non
         if columns[n - 1] != expected[n - 1]:
             last_bad = n
     return last_bad if last_bad <= horizon // 2 else None
+
+
+def diff_scan(m: int, columns, horizon: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(rank, standard column, column) at every rank up to horizon where they differ, in rank order."""
+    return [
+        (n, std, columns[n - 1])
+        for n in range(1, horizon + 1)
+        if columns[n - 1] != (std := standard_column(m, n))
+    ]
 
 
 def greedy_step(m: int, used: set[int], rank: int) -> tuple[int, ...]:

@@ -4,10 +4,11 @@ from __future__ import annotations
 import pytest
 
 import rankpart as rp
+from rankpart.checks import INJECTIONS, _inject
 from rankpart.equivalence import SIGNATURES
 from rankpart.errors import HorizonError
 
-from oracles import signature_witness_scan
+from oracles import diff_scan, signature_witness_scan
 
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
@@ -275,3 +276,61 @@ def test_signature_witness_at_the_half_horizon_boundary():
                 assert rp.signature_witness(p, sig, horizon) == signature_witness_scan(
                     5, p.columns, sig.families, horizon
                 )
+
+
+# the map readers against the dense scans, from below the smallest horizon
+# the census trusts (24) up to verify-long's
+PARITY_HORIZONS = (12, 16, 24, 64, 257, 2048, 16384)
+FAMILY_RANKS = sorted({
+    rank
+    for sig in SIGNATURES.values()
+    for fam in sig.families
+    for rank in fam.ranks_up_to(max(PARITY_HORIZONS))
+})
+
+
+@pytest.fixture(scope="module")
+def engine_at_top(groups36):
+    top = max(PARITY_HORIZONS)
+    return rp.lockstep_extensions(M5, [g.representative.columns for g in groups36], top)
+
+
+def partitions_from_columns(horizon: int) -> dict[str, rp.Partition]:
+    """Partitions built from columns, whose deviation map is scanned on first read."""
+    std = rp.standard_partition(M5, horizon)
+    out = {"standard": std}
+    for inject in INJECTIONS:
+        out[f"inject {inject}"] = _inject(std, inject)
+    out["family i"] = rp.reshuffle_family_i(std, horizon // 6)
+    out["family ii"] = rp.reshuffle_family_ii(std, max((horizon - 4) // 6, 0))
+    half = horizon // 2
+    swap_ranks = {
+        "first half": half,
+        "second half": half + 1,
+        "family rank in the first half": max((r for r in FAMILY_RANKS if r <= half), default=None),
+        "family rank": max(r for r in FAMILY_RANKS if r <= horizon),
+    }
+    for name, rank in swap_ranks.items():
+        if rank is not None:
+            out[f"swap at {name} ({rank})"] = rp.swap_pair(std, rp.SwapSpec((1, rank), (2, rank)))[0]
+    return out
+
+
+@pytest.mark.parametrize("horizon", PARITY_HORIZONS)
+def test_map_readers_match_dense_scans(horizon, groups36, engine_at_top):
+    engine = rp.lockstep_extensions(M5, [g.representative.columns for g in groups36], horizon)
+    cases = {f"engine head {g.representative.choice_id}": p for g, p in zip(groups36, engine)}
+    if horizon < max(PARITY_HORIZONS):  # stored beyond the horizon read
+        cases |= {f"deep head {g.representative.choice_id}": p for g, p in zip(groups36, engine_at_top)}
+    cases |= partitions_from_columns(horizon)
+    assert len(engine) == 21 and None not in engine
+    for name, p in cases.items():
+        assert rp.diff_vs_standard(p, horizon) == diff_scan(5, p.columns, horizon), name
+        for sig in SIGNATURES.values():
+            want = signature_witness_scan(5, p.columns, sig.families, horizon)
+            assert rp.signature_witness(p, sig, horizon) == want, (name, sig.class_id)
+        for reader in (rp.diff_vs_standard, lambda p, h: rp.signature_witness(p, SIGNATURES[1], h)):
+            with pytest.raises(HorizonError):
+                reader(p, p.horizon + 1)
+            with pytest.raises(ValueError):
+                reader(p, 0)

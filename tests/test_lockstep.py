@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import rankpart as rp
 import rankpart.greedy as greedy
 
-from oracles import PartitionBuilder, dense_lockstep, greedy_step
+from oracles import PartitionBuilder, dense_lockstep, diff_scan, greedy_step
 
 HORIZONS = (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 64, 256)
 
@@ -194,6 +194,23 @@ def test_lockstep_extensions_equal_greedy_extend(m, groups_by_m):
         dead = sum(ext is None for ext in got)
         assert dead == (10 if m == 7 and horizon >= 7 else 0), (m, horizon)
     assert rp.lockstep_extensions(cfg, [], 64) == []
+
+
+@pytest.mark.parametrize("m", (5, 7))
+def test_extensions_carry_the_deviation_map_of_their_columns(m, groups_by_m):
+    cfg = rp.ModulusConfig(m)
+    prefixes = [g.representative.columns for g in groups_by_m[m]]
+    extensions = rp.lockstep_extensions(cfg, prefixes, 1024)
+    singles = [greedy_or_none(cfg, cols, 1024) for cols in prefixes]
+    for ext in (*extensions, *singles):
+        if ext is None:
+            continue
+        assert ext._deviations is not None  # handed over by the engine, not scanned
+        scanned = rp.Partition(cfg, ext.columns)
+        assert ext.deviations == scanned.deviations
+        assert list(ext.deviations.items()) == [(n, col) for n, _, col in diff_scan(m, ext.columns, 1024)]
+        assert ext == scanned and hash(ext) == hash(scanned)
+        assert repr(ext) == repr(scanned) == f"Partition(cfg={cfg!r}, columns={ext.columns!r})"
 
 
 @settings(max_examples=40, deadline=None)
