@@ -35,7 +35,8 @@ standard partition and absorbs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import (
@@ -56,13 +57,20 @@ HEAD_COLUMNS = 5
 
 @dataclass(frozen=True)
 class CensusReport:
+    """One census under one protocol.
+
+    group_members holds each dedup group's member-id array('q') as
+    enumeration.head_groups built it (shared, not copied, between the two
+    reports of run_census_both); it takes no part in the hash.
+    """
+
     m: int
     horizon: int
     protocol: str
     heads: int
     statements: int
     dedup_groups: int
-    group_members: tuple[tuple[int, ...], ...]
+    group_members: tuple[array, ...] = field(hash=False)
     representatives: int
     non_extendable: tuple[int, ...]
     classes: int
@@ -71,8 +79,8 @@ class CensusReport:
     decompositions: tuple[int, int, int] | None
     partition_numbers: tuple[tuple[int, int], ...] | None
 
-    def to_dict(self) -> dict:
-        """JSON-friendly view with deterministic key order left to the encoder."""
+    def _json_fields(self) -> dict:
+        """The JSON object's fields, with id lists as the report holds them (arrays, tuples)."""
         out = {
             "m": self.m,
             "horizon": self.horizon,
@@ -80,12 +88,12 @@ class CensusReport:
             "heads": self.heads,
             "statements": self.statements,
             "dedup_groups": self.dedup_groups,
-            "group_members": [list(g) for g in self.group_members],
+            "group_members": self.group_members,
             "dedup": self.representatives,
-            "non_extendable": list(self.non_extendable),
+            "non_extendable": self.non_extendable,
             "classes": self.classes,
-            "class_members": [list(c) for c in self.class_members],
-            "standard_equivalent": list(self.standard_equivalent),
+            "class_members": self.class_members,
+            "standard_equivalent": self.standard_equivalent,
         }
         if self.decompositions is not None:
             r3, r4, r5 = self.decompositions
@@ -93,6 +101,19 @@ class CensusReport:
         if self.partition_numbers is not None:
             out["partition_numbers"] = {str(h): n for h, n in self.partition_numbers}
         return out
+
+    def to_dict(self) -> dict:
+        """JSON-friendly view, every id list a plain list; key order is left to the encoder."""
+        return {key: _plain(value) for key, value in self._json_fields().items()}
+
+
+def _plain(value):
+    """A tuple or array as a list, with every tuple or array inside it a list too."""
+    if isinstance(value, array):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    return value
 
 
 def _decomposition_counts(cfg: ModulusConfig) -> tuple[int, int, int]:

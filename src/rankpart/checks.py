@@ -22,7 +22,7 @@ from .partition import Partition, broken_ranks, residue_set_index, standard_part
 from .reshuffle import SwapSpec, reshuffle_family_i, reshuffle_family_ii, swap_pair
 
 # class tallies confirmed by full runs at horizons 64 and 4096
-KNOWN_CLASS_COUNTS = {5: 8, 7: 13, 9: 19, 11: 26, 13: 34, 15: 43}
+KNOWN_CLASS_COUNTS = {5: 8, 7: 13, 9: 19, 11: 26, 13: 34, 15: 43, 17: 53}
 
 INJECTIONS = ("sum-schedule", "swap")
 

@@ -45,15 +45,21 @@ def _node_budget() -> int:
 
 
 def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int) -> Head:
-    """The head a head id or head file names; the horizon must cover its columns."""
-    if token.isdigit():
+    """The head a head id (ASCII digits, as in head files) or head file names.
+
+    The horizon must cover the head's columns.
+    """
+    if token.isascii() and token.isdigit():
         cfg = ModulusConfig(m_flag if m_flag is not None else 5)
         head = head_by_id(cfg, int(token), node_budget=node_budget)
     else:
         path = Path(token)
         if not path.exists():
             raise ValueError(f"head file not found: {token}")
-        head = parse_head_file(path)
+        try:
+            head = parse_head_file(path)
+        except OSError as e:
+            raise ValueError(f"cannot read head file {token}: {e.strerror or e}") from None
         if m_flag is not None and head.cfg.m != m_flag:
             raise ValueError(f"head file has m={head.cfg.m}, but --m {m_flag} was given")
     if horizon < len(head.columns):

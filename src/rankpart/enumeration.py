@@ -23,7 +23,9 @@ of their columns and are numbered 1, 2, ... in that order.  `head_groups`
 keys each head by its union bitmask, works out once per prefix mask which
 group each completion joins and builds a Head only for the first of each
 group, so a census never holds one object per head (199 513 heads fall into
-1 563 groups at m=13); `enumerate_heads_general` builds them all and
+1 563 groups at m=13).  A group's member ids go into one array('q') as they
+are found, 8 bytes an id, and that array is what the census report holds and
+the JSON writer reads.  `enumerate_heads_general` builds every Head and
 `head_by_id` skips whole batches until it reaches the one it is asked for.
 `dedup_heads` keys a list of heads that a caller supplies by the same
 bitmask, and both hand their groups to one builder (`_groups`).
@@ -36,8 +38,9 @@ which lays them out as six groups of six sharing (column 3, column 4).
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_NODE_BUDGET, ModulusConfig
 from .errors import ResourceError
@@ -310,22 +313,26 @@ def count_statements(heads: list[Head]) -> int:
 
 @dataclass(frozen=True)
 class DedupGroup:
-    """Heads sharing one union key; the lowest-numbered member represents all."""
+    """Heads sharing one union key; the lowest-numbered member represents all.
+
+    member_ids is an array('q') of the members' ids in increasing order, 8
+    bytes per id; it takes no part in the hash.
+    """
 
     representative: Head
-    member_ids: tuple[int, ...]
+    member_ids: array = field(hash=False)
     is_standard: bool
 
 
 # union bitmask -> (columns of the group's first head, member ids in increasing order)
-_Unions = dict[int, tuple[tuple[tuple[int, ...], ...], list[int]]]
+_Unions = dict[int, tuple[tuple[tuple[int, ...], ...], array]]
 
 
 def _groups(cfg: ModulusConfig, column_count: int, found: _Unions) -> list[DedupGroup]:
     """One DedupGroup per union, in the order of `found`; the first head represents it."""
     std_mask = _mask(x for col in standard_partition(cfg, column_count).columns for x in col)
     return [
-        DedupGroup(Head(cfg, columns, choice_id=ids[0]), tuple(ids), key == std_mask)
+        DedupGroup(Head(cfg, columns, choice_id=ids[0]), ids, key == std_mask)
         for key, (columns, ids) in found.items()
     ]
 
@@ -337,7 +344,8 @@ def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
     pool, hence produce identical tails.  A head without a choice_id is
     numbered by its position in the list (from 1); the representative is the
     lowest-numbered head of each group, and groups are ordered by
-    representative number.  Raises InvariantError for a malformed head.
+    representative number.  Raises InvariantError for a malformed head, and
+    OverflowError for an id outside the signed 64-bit range of member_ids.
     """
     if not heads:
         return []
@@ -345,7 +353,10 @@ def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
     found: _Unions = {}
     for head_id, head in sorted(zip(ids, heads), key=lambda pair: pair[0]):
         mask = _mask(check_columns(head.cfg, head.columns))  # the union, once the head is valid
-        found.setdefault(mask, (head.columns, []))[1].append(head_id)
+        group = found.get(mask)
+        if group is None:
+            group = found[mask] = (head.columns, array("q"))
+        group[1].append(head_id)
     return _groups(heads[0].cfg, len(heads[0].columns), found)
 
 
@@ -360,26 +371,26 @@ def head_groups(
     keyed by the bitmask of their union as the search finds them; only the
     first head of each group is built.  The groups a batch of last columns
     joins are looked up once per prefix mask, and every later batch with
-    that mask appends its ids to the same lists.  The result equals
+    that mask appends its ids to the same arrays.  The result equals
     (len(heads), dedup_heads(heads)) for heads = enumerate_heads_general(cfg,
     column_count), at the same node budget.
     """
     found: _Unions = {}
-    # prefix mask -> the member-id list of each completion's group, in search order
-    slots: dict[int, list[list[int]]] = {}
+    # prefix mask -> the member-id array of each completion's group, in search order
+    slots: dict[int, list[array]] = {}
     count = 0
 
     def leaf(mask: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
         nonlocal count
-        lists = slots.get(mask)
-        if lists is None:
-            lists = slots[mask] = []
+        arrays = slots.get(mask)
+        if arrays is None:
+            arrays = slots[mask] = []
             for part in parts:
                 group = found.get(mask | part)
                 if group is None:
-                    group = found[mask | part] = ((*columns, _bits(part)), [])
-                lists.append(group[1])
-        for ids, head_id in zip(lists, range(count + 1, count + len(parts) + 1)):
+                    group = found[mask | part] = ((*columns, _bits(part)), array("q"))
+                arrays.append(group[1])
+        for ids, head_id in zip(arrays, range(count + 1, count + len(parts) + 1)):
             ids.append(head_id)
         count += len(parts)
 

@@ -8,6 +8,7 @@ within a version but not guaranteed byte-stable across versions.
 from __future__ import annotations
 
 import json
+from array import array
 
 from .census import CensusReport
 from .checks import CheckResult
@@ -36,41 +37,61 @@ def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _indented(value, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) for dicts with string keys, lists and scalars.
+def _indented(value, out: list[str], indent: str = "") -> None:
+    """Append json.dumps(value, sort_keys=True, indent=2) to out, in pieces.
 
-    The standard encoder runs in pure Python whenever indent is set; here a
-    list of ints, such as a group's member ids, is written in one join.
+    value is a dict with string keys, a sequence or a scalar; a sequence is
+    a list, a tuple or an array of ids.  The standard encoder runs in pure
+    Python whenever indent is set; here an id array, such as a group's member
+    ids, is written in one join without looking at its elements (an
+    array('q') holds only ints), and so is a list or tuple of ints.  The
+    caller joins the pieces once, so the text is not copied again at every
+    level of nesting.
     """
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = (f"{json.dumps(k)}: {_indented(value[k], inner)}" for k in sorted(value))
-        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
-    if isinstance(value, list):
+            out.append("{}")
+            return
+        head = "{\n" + inner
+        for key in sorted(value):
+            out.append(f"{head}{json.dumps(key)}: ")
+            _indented(value[key], out, inner)
+            head = sep
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (array, list, tuple)):
         if not value:
-            return "[]"
-        if all(type(x) is int for x in value):
-            items = map(str, value)
+            out.append("[]")
+        elif isinstance(value, array) or all(type(x) is int for x in value):
+            out.append(f"[\n{inner}{sep.join(map(str, value))}\n{indent}]")
         else:
-            items = (_indented(x, inner) for x in value)
-        return f"[\n{inner}{sep.join(items)}\n{indent}]"
-    return json.dumps(value)
+            head = "[\n" + inner
+            for x in value:
+                out.append(head)
+                _indented(x, out, inner)
+                head = sep
+            out.append(f"\n{indent}]")
+    else:
+        out.append(json.dumps(value))
 
 
 def render_census(reports: list[CensusReport], fmt: str = "json") -> str:
     """One or more census reports as JSON (list collapses to a single object).
 
-    The JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
+    The JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2)
+    of the reports' to_dict(), written from the reports' own id arrays and
+    tuples without that copy.  CSV reads to_dict().
     """
-    docs = [r.to_dict() for r in reports]
     if fmt == "json":
-        return _indented(docs[0] if len(docs) == 1 else docs) + "\n"
+        out: list[str] = []
+        docs = [r._json_fields() for r in reports]
+        _indented(docs[0] if len(docs) == 1 else docs, out)
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         lines = ["protocol,field,value"]
-        for doc in docs:
+        for doc in (r.to_dict() for r in reports):
             for field in sorted(doc):
                 value = doc[field]
                 if isinstance(value, list):

@@ -1,7 +1,9 @@
 """End-to-end census runs for the five-set and seven-set systems."""
 from __future__ import annotations
 
+import dataclasses
 import json
+from array import array
 
 import pytest
 
@@ -78,6 +80,25 @@ def test_report_serializes_to_json(census5):
     assert back["decompositions"] == {"rank3": 2, "rank4": 6, "rank5": 25}
     assert back["heads"] == 36
     assert back["partition_numbers"]["8"] == 7
+
+
+def is_plain(value) -> bool:
+    """True for what json.loads gives back: dicts with str keys, lists, str, int, None."""
+    if isinstance(value, dict):
+        return all(type(k) is str and is_plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(is_plain, value))
+    return value is None or type(value) in (str, int)
+
+
+def test_reports_hold_id_arrays_hash_without_them_and_give_plain_dicts(census5, census7):
+    for report in (census5, *census7):
+        assert all(type(ids) is array and ids.typecode == "q" for ids in report.group_members)
+        assert hash(report) == hash(dataclasses.replace(report, group_members=()))
+        doc = report.to_dict()
+        assert is_plain(doc) and json.loads(json.dumps(doc)) == doc
+        assert doc["group_members"] == [list(ids) for ids in report.group_members]
+    assert len({census5, *census7}) == 3
 
 
 def test_seven_set_census_both_protocols(census7):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,46 @@ def test_missing_head_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "--head",
                        str(tmp_path / "absent.txt"), "--horizon", "8")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "diff"])
+def test_head_path_that_is_a_directory_exits_2(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, "--head", str(tmp_path), "--horizon", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read head file {tmp_path}: ")
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file of mode 000")
+@pytest.mark.parametrize("command", ["generate", "diff"])
+def test_head_file_without_read_permission_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "head.txt"
+    path.write_text(FIG_TEXT)
+    path.chmod(0)
+    code, out, err = run(capsys, command, "--head", str(path), "--horizon", "8")
+    assert (code, out, err) == (2, "", f"error: cannot read head file {path}: Permission denied\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "diff"])
+def test_head_file_read_error_exits_2(capsys, tmp_path, monkeypatch, command):
+    # the mode-000 case above, for a process that may read every file
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    path = tmp_path / "head.txt"
+    path.write_text(FIG_TEXT)
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run(capsys, command, "--head", str(path), "--horizon", "8")
+    assert (code, out, err) == (2, "", f"error: cannot read head file {path}: Permission denied\n")
+
+
+@pytest.mark.parametrize("token", ["\u0663", "\u00b2"])  # ARABIC-INDIC DIGIT THREE, SUPERSCRIPT TWO
+@pytest.mark.parametrize("command", ["generate", "diff"])
+def test_head_ids_take_only_ascii_digits(capsys, command, token):
+    assert token.isdigit()
+    argv = (command, "--horizon", "8", *(("--show", "3") if command == "generate" else ()))
+    assert run(capsys, *argv, "--head", "3")[0] == 0
+    code, out, err = run(capsys, *argv, "--head", token)
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_census_rejects_horizon_shorter_than_head(capsys):

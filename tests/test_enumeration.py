@@ -1,7 +1,9 @@
 """Head enumeration, sum decompositions, dedup grouping."""
 from __future__ import annotations
 
+import dataclasses
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,7 +207,7 @@ def test_five_set_helper_rejects_other_moduli():
 
 
 def test_dedup_groups_are_frozen(groups36):
-    got = tuple((g.member_ids, g.is_standard) for g in groups36)
+    got = tuple((tuple(g.member_ids), g.is_standard) for g in groups36)
     assert got == DEDUP_GROUPS
     assert sum(1 for g in groups36 if g.is_standard) == 1
 
@@ -259,7 +261,7 @@ def test_head_groups_match_dedup_of_every_head(m):
     assert [h.columns for h in heads] == head_columns(m)
     count, groups = rp.head_groups(cfg)
     assert count == len(heads)
-    got = [(g.representative, g.member_ids, g.is_standard) for g in groups]
+    got = [(g.representative, tuple(g.member_ids), g.is_standard) for g in groups]
     assert got == union_groups(m, heads)
     assert sum(g.is_standard for g in groups) == 1
 
@@ -271,9 +273,31 @@ def test_dedup_heads_groups_shuffled_and_unnumbered_heads_like_the_oracle(m):
     rng.shuffle(heads)
     heads = [rp.Head(h.cfg, h.columns) if rng.random() < 0.3 else h for h in heads]
     assert any(h.choice_id is None for h in heads)
-    got = [(g.representative, g.member_ids, g.is_standard) for g in rp.dedup_heads(heads)]
+    got = [(g.representative, tuple(g.member_ids), g.is_standard) for g in rp.dedup_heads(heads)]
     assert got == union_groups(m, heads)
     assert [rep.choice_id for rep, _, _ in got] == sorted(ids[0] for _, ids, _ in got)
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_member_ids_are_int64_arrays_equal_to_the_oracle(m):
+    cfg = rp.ModulusConfig(m)
+    heads = rp.enumerate_heads_general(cfg)
+    want = [array("q", ids) for _, ids, _ in union_groups(m, heads)]
+    for groups in (rp.head_groups(cfg)[1], rp.dedup_heads(heads)):
+        assert all(type(g.member_ids) is array and g.member_ids.typecode == "q" for g in groups)
+        assert [g.member_ids for g in groups] == want
+
+
+def test_dedup_groups_hash_without_their_member_ids(groups36, heads36):
+    group = groups36[1]
+    twin = dataclasses.replace(group, member_ids=array("q", [99]))
+    assert twin != group and hash(twin) == hash(group)
+    assert len(set(groups36)) == len(groups36)
+    # caller-supplied ids may be negative: the typecode is signed
+    negated = rp.dedup_heads([rp.Head(M5, h.columns, -h.choice_id) for h in heads36])
+    got = sorted(tuple(g.member_ids) for g in negated)
+    assert got == sorted(tuple(-i for i in reversed(g.member_ids)) for g in groups36)
+    assert got[0] == (-36,) and (-26, -8) in got
 
 
 def count_nodes(monkeypatch, search) -> int:
@@ -319,12 +343,12 @@ def test_interleaved_searches_share_no_state():
         assert snapshot(rp.ModulusConfig(m)) == first[m]
     count, groups, heads, picks, _ = first[9]
     assert picks == [heads[0], heads[count // 3 - 1], heads[-1]]
-    assert [g.member_ids for g in groups] == [ids for _, ids, _ in union_groups(9, heads)]
+    assert [tuple(g.member_ids) for g in groups] == [ids for _, ids, _ in union_groups(9, heads)]
 
 
 def test_head_groups_short_prefix_and_guards():
     count, (group,) = rp.head_groups(M5, column_count=2)
-    assert count == 1 and group.member_ids == (1,) and group.is_standard
+    assert count == 1 and tuple(group.member_ids) == (1,) and group.is_standard
     assert group.representative.columns == ((0, 1, 2), (3, 4, 5))
     with pytest.raises(ValueError):
         rp.head_groups(M5, column_count=0)

@@ -99,6 +99,18 @@ def test_census_csv_flattens_fields():
         render_census([report], "toml")
 
 
+def test_census_output_is_the_same_from_id_arrays_and_id_tuples():
+    for m in (5, 7):
+        both = list(rp.run_census_both(m, 64))
+        tuples = [
+            dataclasses.replace(r, group_members=tuple(tuple(ids) for ids in r.group_members))
+            for r in both
+        ]
+        for fmt in ("csv", "json"):
+            assert render_census(both, fmt) == render_census(tuples, fmt)
+            assert render_census(both[:1], fmt) == render_census(tuples[:1], fmt)
+
+
 def test_check_lines_and_summary():
     ok = CheckResult("alpha", True, "fine")
     bad = CheckResult("beta", False, "broken at rank 3")
