@@ -1,9 +1,13 @@
 """Verification suites: internal consistency checks over generated data.
 
 Each check builds the data it needs and reports pass/fail with a detail
-string.  The signature check takes the extensions of all m=5
-representatives from one lockstep run (greedy.lockstep_extensions), which
-extends each of the eight classes once.  The suite doubles as a
+string.  Every scan over the horizon is a bulk pass of C builtins (`map`
+over sums, residues or pair sums, compared with the schedule or an
+arithmetic sequence); only when a pass fails does a per-rank loop run, to
+name the first violation in the detail.  The signature check takes the deviation maps of
+all m=5 representatives' extensions from one lockstep run
+(greedy._extension_maps), which extends each of the eight classes once, and
+reads each signature's expected columns once.  The suite doubles as a
 fault-injection target: the caller can request a deliberate corruption (a
 column sum knocked off the schedule, or two elements swapped across slots)
 and confirm the failure is caught and named.
@@ -11,14 +15,17 @@ and confirm the failure is caught and named.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import add, eq, itemgetter, mod
 
 from .census import run_census
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import head_groups
-from .equivalence import SIGNATURES, signature_matches
+from .equivalence import SIGNATURES, _expected_columns, _witness
 from .errors import InvariantError, RankPartError
-from .greedy import greedy_extend, lockstep_extensions
-from .partition import Partition, broken_ranks, residue_set_index, standard_partition, sum_schedule
+from .greedy import _extension_maps, greedy_extend
+from .partition import Partition, _schedule, broken_ranks, residue_set_index, standard_partition, sum_schedule
 from .reshuffle import SwapSpec, reshuffle_family_i, reshuffle_family_ii, swap_pair
 
 # class tallies confirmed by full runs at horizons 64 and 4096
@@ -56,6 +63,9 @@ def _check_sum_schedule(cfg: ModulusConfig, p: Partition, horizon: int) -> Check
         n = broken[0]
         got, want = sum(p.column(n)), sum_schedule(cfg, n)
         return CheckResult("sum-schedule", False, f"column {n} sums to {got}, schedule wants {want}")
+    passed = CheckResult("sum-schedule", True, f"{horizon} columns follow the schedule")
+    if all(map(eq, map(partial(sum_schedule, cfg), range(1, horizon + 1)), _schedule(cfg))):
+        return passed
     t, m5 = cfg.t, cfg.m == 5
     step = (t + 1) ** 2
     previous = None
@@ -71,14 +81,21 @@ def _check_sum_schedule(cfg: ModulusConfig, p: Partition, horizon: int) -> Check
                     "sum-schedule", False, f"difference at rank {n} is {diff}, expected {expected}"
                 )
         previous = want
-    return CheckResult("sum-schedule", True, f"{horizon} columns follow the schedule")
+    return passed
 
 
 def _check_residues(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult:
     # the standard set of each residue mod m, read once; entry i of every column belongs to set i
     m = cfg.m
     residue_set = [residue_set_index(cfg, r) for r in range(m)]
-    for col in p.columns[:horizon]:
+    passed = CheckResult("residue-membership", True, f"all elements through rank {horizon} match their residue set")
+    cols = p.columns[:horizon]
+    if all(
+        set(map(mod, map(itemgetter(i - 1), cols), repeat(m))) <= {r for r, j in enumerate(residue_set) if j == i}
+        for i in range(1, cfg.set_count + 1)
+    ):
+        return passed
+    for col in cols:
         i = 1
         for x in col:
             if residue_set[x % m] != i:
@@ -86,7 +103,7 @@ def _check_residues(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResu
                     "residue-membership", False, f"element {x} sits in set {i}, residue says {residue_set[x % m]}"
                 )
             i += 1
-    return CheckResult("residue-membership", True, f"all elements through rank {horizon} match their residue set")
+    return passed
 
 
 def _check_completeness(p: Partition) -> CheckResult:
@@ -113,17 +130,15 @@ def _check_greedy(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult
 def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
     _, groups = head_groups(cfg)
     reps = [g.representative for g in groups if not g.is_standard]
-    extensions = lockstep_extensions(cfg, [rep.columns for rep in reps], horizon)
+    expected = {class_id: _expected_columns(sig, horizon) for class_id, sig in sorted(SIGNATURES.items())}
     tally: dict[int, int] = {}
-    for rep, ext in zip(reps, extensions):
-        matches = signature_matches(ext, horizon)
-        if len(matches) != 1:
-            ids = [class_id for class_id, _ in matches]
+    for rep, devs in zip(reps, _extension_maps(cfg, [rep.columns for rep in reps], horizon)):
+        ids = [class_id for class_id, cols in expected.items() if _witness(cfg, devs, cols, horizon) is not None]
+        if len(ids) != 1:
             return CheckResult(
                 "signatures", False, f"head {rep.choice_id} matches signatures {ids}, expected exactly one"
             )
-        class_id = matches[0][0]
-        tally[class_id] = tally.get(class_id, 0) + 1
+        tally[ids[0]] = tally.get(ids[0], 0) + 1
     if sorted(tally) != sorted(SIGNATURES):
         return CheckResult("signatures", False, f"classes seen: {sorted(tally)}")
     detail = f"{len(reps)} representatives each match exactly one of {len(SIGNATURES)} signatures"
@@ -135,16 +150,26 @@ def _check_reshuffles(cfg: ModulusConfig, horizon: int) -> CheckResult:
     cols = std.columns
     k_i = horizon // 6
     k_ii = max((horizon - 4) // 6, 0)
-    for k in range(1, k_i + 1):
-        a = cols[4 * k - 1][0] + cols[4 * k - 1][2]
-        b = cols[6 * k - 2][0] + cols[6 * k - 2][1]
-        if not a == b == 30 * k - 7:
-            return CheckResult("reshuffle-identities", False, f"family i pair sums differ at k={k}")
-    for k in range(k_ii):
-        a = cols[4 * k + 2][1] + cols[4 * k + 2][2]
-        b = cols[6 * k + 3][0] + cols[6 * k + 3][1]
-        if not a == b == 30 * k + 17:
-            return CheckResult("reshuffle-identities", False, f"family ii pair sums differ at k={k}")
+    # family i pairs: sets 1+3 at rank 4k, sets 1+2 at rank 6k-1, both 30k - 7 (k >= 1);
+    # family ii pairs: sets 2+3 at rank 4k+3, sets 1+2 at rank 6k+4, both 30k + 17 (k >= 0)
+    first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
+    pair_sums = (
+        (cols[3:4 * k_i:4], first, third, range(23, 30 * k_i, 30)),
+        (cols[4:6 * k_i:6], first, second, range(23, 30 * k_i, 30)),
+        (cols[2:4 * k_ii:4], second, third, range(17, 30 * k_ii, 30)),
+        (cols[3:6 * k_ii:6], first, second, range(17, 30 * k_ii, 30)),
+    )
+    if not all(all(map(eq, map(add, map(x, ranks), map(y, ranks)), want)) for ranks, x, y, want in pair_sums):
+        for k in range(1, k_i + 1):
+            a = cols[4 * k - 1][0] + cols[4 * k - 1][2]
+            b = cols[6 * k - 2][0] + cols[6 * k - 2][1]
+            if not a == b == 30 * k - 7:
+                return CheckResult("reshuffle-identities", False, f"family i pair sums differ at k={k}")
+        for k in range(k_ii):
+            a = cols[4 * k + 2][1] + cols[4 * k + 2][2]
+            b = cols[6 * k + 3][0] + cols[6 * k + 3][1]
+            if not a == b == 30 * k + 17:
+                return CheckResult("reshuffle-identities", False, f"family ii pair sums differ at k={k}")
     for result in (reshuffle_family_i(std, k_i), reshuffle_family_ii(std, k_ii)):
         try:  # the column check includes every column sum
             result.validate()

@@ -21,11 +21,11 @@ from .checks import INJECTIONS, run_verification, verification_passed
 from .config import DEFAULT_COLUMNS_SHOWN, DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import Head, head_by_id
 from .equivalence import diff_vs_standard
-from .errors import InvariantError, ParseError, RankPartError, ResourceError
+from .errors import HorizonError, InvariantError, ParseError, RankPartError, ResourceError
 from .greedy import greedy_extend
 from .headfile import parse_head_file
 from .partition import standard_partition
-from .render import render_census, render_checks, render_partition
+from .render import census_pieces, render_checks, render_partition
 from .reshuffle import reshuffle_family_i, reshuffle_family_ii
 
 BUDGET_ENV = "RANKPART_NODE_BUDGET"
@@ -83,7 +83,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         reports = list(run_census_both(m, args.horizon, budget))
     else:
         reports = [run_census(m, args.horizon, args.protocol, budget)]
-    sys.stdout.write(render_census(reports, args.format))
+    sys.stdout.writelines(census_pieces(reports, args.format))
     return 0
 
 
@@ -116,7 +116,10 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
         raise ValueError("reshuffle families are defined for m=5 only")
     std = standard_partition(ModulusConfig(m), args.horizon)
     family = reshuffle_family_i if args.family == "i" else reshuffle_family_ii
-    p = family(std, args.kmax)
+    try:
+        p = family(std, args.kmax)
+    except HorizonError as e:  # a horizon too short for --kmax is a usage error, as elsewhere
+        raise ValueError(str(e)) from None
     sys.stdout.write(render_partition(p, args.show, args.format))
     return 0
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 DEFAULT_HORIZON = 4096
 DEFAULT_COLUMNS_SHOWN = 46
@@ -18,10 +19,10 @@ class ModulusConfig:
         if self.m < 5 or self.m % 2 == 0:
             raise ValueError(f"modulus must be an odd integer >= 5, got {self.m}")
 
-    @property
+    @cached_property
     def t(self) -> int:
         return (self.m - 1) // 2
 
-    @property
+    @cached_property
     def set_count(self) -> int:
         return self.t + 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from .config import ModulusConfig
 from .errors import HorizonError
 from .partition import Column, Partition, standard_column
 
@@ -198,6 +199,26 @@ def diff_vs_standard(p: Partition, horizon: int) -> list[tuple[int, Column, Colu
     ]
 
 
+def _expected_columns(sig: ClassSignature, horizon: int) -> dict[int, Column]:
+    """Rank -> variant column at every family rank up to the horizon."""
+    expected: dict[int, Column] = {}
+    for fam in sig.families:  # a later family overrides an earlier one at a shared rank
+        for k, rank in fam.positions_up_to(horizon):
+            expected[rank] = fam.variant_at(k)
+    return expected
+
+
+def _witness(
+    cfg: ModulusConfig, devs: dict[int, Column], expected: dict[int, Column], horizon: int
+) -> int | None:
+    """signature_witness read from a deviation map and a signature's expected columns."""
+    for n in sorted({n for n in devs if n <= horizon} | expected.keys(), reverse=True):
+        std = standard_column(cfg, n)
+        if devs.get(n, std) != expected.get(n, std):
+            return n if n <= horizon // 2 else None
+    return 0
+
+
 def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | None:
     """Last rank at which p breaks the signature's pattern, or None on failure.
 
@@ -209,16 +230,7 @@ def signature_witness(p: Partition, sig: ClassSignature, horizon: int) -> int | 
     ranks are compared, from the top down.
     """
     _require_stored(p, horizon)
-    expected: dict[int, Column] = {}
-    for fam in sig.families:  # a later family overrides an earlier one at a shared rank
-        for k, rank in fam.positions_up_to(horizon):
-            expected[rank] = fam.variant_at(k)
-    devs = p.deviations
-    for n in sorted({n for n in devs if n <= horizon} | expected.keys(), reverse=True):
-        std = standard_column(p.cfg, n)
-        if devs.get(n, std) != expected.get(n, std):
-            return n if n <= horizon // 2 else None
-    return 0
+    return _witness(p.cfg, p.deviations, _expected_columns(sig, horizon), horizon)
 
 
 def check_signature(p: Partition, sig: ClassSignature, horizon: int) -> bool:

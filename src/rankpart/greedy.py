@@ -19,9 +19,10 @@ differ from the standard column; every rank before it takes the standard
 column and leaves D as it is, so the builder jumps there and takes one dense
 step (`_dense_step`).  Many prefixes advance side by side this way and merge
 where their D sets meet.  `lockstep_classes` sorts the extensions into
-equivalence classes, `lockstep_extensions` returns every extension as the
-standard columns with the deviating ones overridden, handing over the map of
-deviating columns as the partition's deviation map, and `greedy_extend`
+equivalence classes, `_extension_maps` returns the map of deviating columns
+of every extension, `lockstep_extensions` builds from each map the standard
+columns with the deviating ones overridden, handing the map over as the
+partition's deviation map, and `greedy_extend`
 runs the same engine on one prefix.  The dense builder it is tested against,
 one rank at a time over an explicit used set, lives in tests/oracles.py.
 """
@@ -276,20 +277,17 @@ def lockstep_classes(
     return _run_lockstep(cfg, prefixes, horizon)[1]
 
 
-def lockstep_extensions(
+def _extension_maps(
     cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
-) -> list[Partition | None]:
-    """The greedy extension of every prefix to the horizon, from one lockstep run.
+) -> list[dict[int, Column] | None]:
+    """The deviation map of every prefix's greedy extension, from one lockstep run.
 
-    Entry i equals greedy_extend(cfg, prefixes[i], horizon), or is None where
-    that raises CollisionError or NegativeError.  Only the class roots reach
-    the horizon.  A merged prefix's extension is its own columns up to the
-    rank where its used set met an earlier builder's, then that builder's
-    extension, since greedy extension from equal used sets is the same.  The
-    run keeps only each builder's deviating columns; full columns are built
-    at the end over the shared standard columns, and each partition carries
-    its deviating columns as its deviation map.  Raises as lockstep_classes
-    does.
+    Entry i maps each rank whose column in greedy_extend(cfg, prefixes[i],
+    horizon) is not the standard column to that column, in rank order, or
+    is None where that extension raises CollisionError or NegativeError.
+    A merged prefix's map is its own deviations up to the rank where its
+    used set met an earlier builder's, then that builder's, since greedy
+    extension from equal used sets is the same.
     """
     parent, roots, held, deviations, _ = _run_lockstep(cfg, prefixes, horizon)
     full: list[dict[int, Column] | None] = []
@@ -301,7 +299,25 @@ def lockstep_extensions(
         else:
             inherited = {rank: col for rank, col in full[j].items() if rank > held[i]}
             full.append(deviations[i] | inherited)  # own ranks are <= held[i]: rank order
-    return [None if devs is None else _materialise(cfg, horizon, devs) for devs in full]
+    return full
+
+
+def lockstep_extensions(
+    cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
+) -> list[Partition | None]:
+    """The greedy extension of every prefix to the horizon, from one lockstep run.
+
+    Entry i equals greedy_extend(cfg, prefixes[i], horizon), or is None where
+    that raises CollisionError or NegativeError.  Only the class roots reach
+    the horizon.  The run keeps only each builder's deviating columns
+    (_extension_maps); full columns are built at the end over the shared
+    standard columns, and each partition carries its deviating columns as
+    its deviation map.  Raises as lockstep_classes does.
+    """
+    return [
+        None if devs is None else _materialise(cfg, horizon, devs)
+        for devs in _extension_maps(cfg, prefixes, horizon)
+    ]
 
 
 def complete_head(

@@ -20,7 +20,11 @@ The invariants of a column prefix also live here, once each, and every other
 module calls them: `check_columns` checks width, non-negative and distinct
 elements and the schedule sums, `broken_ranks` is the one scan of column sums
 against the schedule, and `standard_columns` builds every standard column
-tuple, cached so that every reader at one horizon shares them.
+tuple, cached so that every reader at one horizon shares them.  Each scan,
+and the gap test of `Partition.validate`, is a bulk pass of C builtins over
+all the columns (one set of every element, `map(sum, ...)` against the
+schedule); only when that pass fails does a per-element loop run, to name
+the first violation.
 
 A partition also carries its deviation map: rank -> column wherever it is
 not standard.  The greedy engine hands over the map it keeps; any other
@@ -33,7 +37,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, cycle
+from itertools import accumulate, chain, cycle, islice
+from operator import eq
 
 from .config import ModulusConfig
 from .errors import HorizonError, InvariantError
@@ -131,8 +136,8 @@ class Partition:
         seen = check_columns(self.cfg, self.columns, require_sums)
         if self.columns:
             bound = min(self.columns[-1])
-            missing = next((x for x in range(bound) if x not in seen), None)
-            if missing is not None:
+            if not seen.issuperset(range(bound)):
+                missing = next(x for x in range(bound) if x not in seen)
                 raise InvariantError(f"prefix incomplete: {missing} missing below {bound}")
 
 
@@ -143,10 +148,21 @@ def check_columns(
 
     Raises InvariantError on the first column with the wrong width, a
     negative element or an element used before, or, unless require_sums is
-    false, a sum off the schedule.
+    false, a sum off the schedule.  The check is one bulk pass; the
+    column-by-column loop runs only when it fails, to name the first fault.
     """
+    if not isinstance(columns, Sequence):
+        columns = tuple(columns)
     width = cfg.set_count
-    seen: set[int] = set()
+    seen = set(chain.from_iterable(columns))
+    if (
+        {width}.issuperset(map(len, columns))
+        and len(seen) == width * len(columns)
+        and (not seen or min(seen) >= 0)
+        and (not require_sums or all(map(eq, map(sum, columns), _schedule(cfg))))
+    ):
+        return seen
+    seen = set()
     for idx, (col, want) in enumerate(zip(columns, _schedule(cfg)), start=1):
         if len(col) != width:
             raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
@@ -169,6 +185,8 @@ def broken_ranks(p: Partition, horizon: int | None = None) -> tuple[int, ...]:
         horizon = p.horizon
     elif horizon > p.horizon:
         raise HorizonError(f"horizon {horizon} exceeds stored {p.horizon} columns")
+    if all(map(eq, map(sum, islice(p.columns, max(horizon, 0))), _schedule(p.cfg))):
+        return ()
     return tuple(
         n for n, col, want in zip(range(1, horizon + 1), p.columns, _schedule(p.cfg))
         if sum(col) != want

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections.abc import Iterator
 
 from .census import CensusReport
 from .checks import CheckResult
@@ -37,60 +38,56 @@ def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _indented(value, out: list[str], indent: str = "") -> None:
-    """Append json.dumps(value, sort_keys=True, indent=2) to out, in pieces.
+def _indented(value, indent: str = "") -> Iterator[str]:
+    """json.dumps(value, sort_keys=True, indent=2), in pieces.
 
     value is a dict with string keys, a sequence or a scalar; a sequence is
     a list, a tuple or an array of ids.  The standard encoder runs in pure
     Python whenever indent is set; here an id array, such as a group's member
     ids, is written in one join without looking at its elements (an
     array('q') holds only ints), and so is a list or tuple of ints.  The
-    caller joins the pieces once, so the text is not copied again at every
-    level of nesting.
+    pieces are yielded as they are made, so the text is not copied again at
+    every level of nesting.
     """
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            yield "{}"
             return
         head = "{\n" + inner
         for key in sorted(value):
-            out.append(f"{head}{json.dumps(key)}: ")
-            _indented(value[key], out, inner)
+            yield f"{head}{json.dumps(key)}: "
+            yield from _indented(value[key], inner)
             head = sep
-        out.append(f"\n{indent}}}")
+        yield f"\n{indent}}}"
     elif isinstance(value, (array, list, tuple)):
         if not value:
-            out.append("[]")
+            yield "[]"
         elif isinstance(value, array) or all(type(x) is int for x in value):
-            out.append(f"[\n{inner}{sep.join(map(str, value))}\n{indent}]")
+            yield f"[\n{inner}{sep.join(map(str, value))}\n{indent}]"
         else:
             head = "[\n" + inner
             for x in value:
-                out.append(head)
-                _indented(x, out, inner)
+                yield head
+                yield from _indented(x, inner)
                 head = sep
-            out.append(f"\n{indent}]")
+            yield f"\n{indent}]"
     else:
-        out.append(json.dumps(value))
+        yield json.dumps(value)
 
 
-def render_census(reports: list[CensusReport], fmt: str = "json") -> str:
-    """One or more census reports as JSON (list collapses to a single object).
+def census_pieces(reports: list[CensusReport], fmt: str = "json") -> Iterator[str]:
+    """The text of render_census, in pieces as they are made.
 
-    The JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2)
-    of the reports' to_dict(), written from the reports' own id arrays and
-    tuples without that copy.  CSV reads to_dict().
+    A caller that writes each piece as it comes never holds the whole text.
     """
     if fmt == "json":
-        out: list[str] = []
         docs = [r._json_fields() for r in reports]
-        _indented(docs[0] if len(docs) == 1 else docs, out)
-        out.append("\n")
-        return "".join(out)
-    if fmt == "csv":
-        lines = ["protocol,field,value"]
+        yield from _indented(docs[0] if len(docs) == 1 else docs)
+        yield "\n"
+    elif fmt == "csv":
+        yield "protocol,field,value\n"
         for doc in (r.to_dict() for r in reports):
             for field in sorted(doc):
                 value = doc[field]
@@ -101,9 +98,20 @@ def render_census(reports: list[CensusReport], fmt: str = "json") -> str:
                     )
                 elif isinstance(value, dict):
                     value = ";".join(f"{k}={v}" for k, v in sorted(value.items()))
-                lines.append(f"{doc['protocol']},{field},\"{value}\"")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+                yield f"{doc['protocol']},{field},\"{value}\"\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def render_census(reports: list[CensusReport], fmt: str = "json") -> str:
+    """One or more census reports as JSON (list collapses to a single object).
+
+    The JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2)
+    of the reports' to_dict(), written from the reports' own id arrays and
+    tuples without that copy.  CSV reads to_dict().  The text is the join
+    of census_pieces.
+    """
+    return "".join(census_pieces(reports, fmt))
 
 
 def render_checks(results: list[CheckResult]) -> str:

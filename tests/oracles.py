@@ -4,7 +4,8 @@ These deliberately share no code with rankpart: the decomposition oracle
 buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
 keeping a cursor, the signature and deviation oracles scan every rank
-forward, and the union grouping keys heads by their sorted union tuple.
+forward, the union grouping keys heads by their sorted union tuple, and
+the column, gap and column-sum scans visit every element or rank in turn.
 Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
@@ -154,6 +155,45 @@ def diff_scan(m: int, columns, horizon: int) -> list[tuple[int, tuple[int, ...],
         for n in range(1, horizon + 1)
         if columns[n - 1] != (std := standard_column(m, n))
     ]
+
+
+def check_columns_scan(m: int, columns, require_sums: bool = True) -> set[int]:
+    """partition.check_columns, element by element: the used set, or InvariantError at the first fault.
+
+    Column by column: the width, then each element for a negative value or
+    a repeat, then, unless require_sums is false, the column sum.
+    """
+    width = (m - 1) // 2 + 1
+    seen: set[int] = set()
+    for idx, col in enumerate(columns, start=1):
+        if len(col) != width:
+            raise rp.InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
+        for x in col:
+            if x < 0:
+                raise rp.InvariantError(f"column {idx} holds negative element {x}")
+            if x in seen:
+                raise rp.InvariantError(f"element {x} appears more than once (column {idx})")
+            seen.add(x)
+        if require_sums:
+            got, want = sum(col), schedule(m, idx)
+            if got != want:
+                raise rp.InvariantError(f"column {idx} sums to {got}, schedule wants {want}")
+    return seen
+
+
+def validate_scan(m: int, columns, require_sums: bool = True) -> None:
+    """Partition.validate: check_columns_scan, then every integer below the last column's minimum, one by one."""
+    seen = check_columns_scan(m, columns, require_sums)
+    if columns:
+        bound = min(columns[-1])
+        for x in range(bound):
+            if x not in seen:
+                raise rp.InvariantError(f"prefix incomplete: {x} missing below {bound}")
+
+
+def broken_ranks_scan(m: int, columns, horizon: int) -> tuple[int, ...]:
+    """Ranks up to horizon whose column sum misses the schedule, one rank at a time."""
+    return tuple(n for n in range(1, horizon + 1) if sum(columns[n - 1]) != schedule(m, n))
 
 
 def greedy_step(m: int, used: set[int], rank: int) -> tuple[int, ...]:

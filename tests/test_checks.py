@@ -84,6 +84,47 @@ def test_residue_check_names_an_element_in_the_wrong_set(m, rank, order, detail)
     assert checks._check_residues(cfg, rp.standard_partition(cfg, 256), 256).passed
 
 
+@pytest.mark.parametrize("m, rank, detail", [
+    (5, 1, "m=5 closed form disagrees at rank 1"),
+    (5, 77, "m=5 closed form disagrees at rank 77"),
+    (7, 40, "difference at rank 40 is 17, expected 16"),
+    (7, 41, "difference at rank 41 is 20, expected 19"),
+    (7, 1, "difference at rank 2 is 15, expected 16"),
+])
+def test_sum_schedule_check_names_the_first_disagreeing_rank(monkeypatch, m, rank, detail):
+    schedule = checks.sum_schedule
+
+    def off_by_one(cfg, n):
+        return schedule(cfg, n) + (n == rank)
+
+    monkeypatch.setattr(checks, "sum_schedule", off_by_one)
+    cfg = rp.ModulusConfig(m)
+    result = checks._check_sum_schedule(cfg, rp.standard_partition(cfg, 256), 256)
+    assert result == CheckResult("sum-schedule", False, detail)
+
+
+# (set, rank) entries to raise by one: at rank 4k set 3 is only in a family-i
+# pair, at rank 6k+4 set 2 only in a family-ii pair
+@pytest.mark.parametrize("slots, detail", [
+    ([(3, 4 * 9)], "family i pair sums differ at k=9"),
+    ([(2, 6 * 5 + 4)], "family ii pair sums differ at k=5"),
+    ([(1, 6 * 30 - 1)], "family i pair sums differ at k=30"),
+    ([(2, 6 * 5 + 4), (3, 4 * 9)], "family i pair sums differ at k=9"),
+])
+def test_reshuffle_check_names_the_first_broken_pair(monkeypatch, slots, detail):
+    standard = checks.standard_partition
+
+    def altered(cfg, horizon):
+        cols = [list(col) for col in standard(cfg, horizon).columns]
+        for i, n in slots:
+            cols[n - 1][i - 1] += 1
+        return rp.Partition(cfg, tuple(map(tuple, cols)))
+
+    monkeypatch.setattr(checks, "standard_partition", altered)
+    result = checks._check_reshuffles(rp.ModulusConfig(5), 256)
+    assert result == CheckResult("reshuffle-identities", False, detail)
+
+
 def test_unknown_injection_rejected():
     with pytest.raises(ValueError):
         run_verification(5, 256, inject="gamma-rays")

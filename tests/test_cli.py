@@ -187,7 +187,7 @@ def test_reshuffle_requires_five_sets(capsys):
 def test_reshuffle_kmax_beyond_horizon(capsys):
     code, _, err = run(capsys, "reshuffle", "--family", "i", "--kmax", "5",
                        "--horizon", "12", "--show", "4")
-    assert code == 1
+    assert code == 2
     assert "horizon" in err
 
 

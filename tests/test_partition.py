@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rankpart as rp
 from rankpart.errors import HorizonError, InvariantError
+from rankpart.partition import check_columns
 
-from oracles import PartitionBuilder
+from oracles import PartitionBuilder, broken_ranks_scan, check_columns_scan, validate_scan
 
 M5 = rp.ModulusConfig(5)
 
@@ -216,3 +217,57 @@ def test_every_entry_point_rejects_the_same_bad_columns(fault, entry):
         ENTRY_POINTS[entry](cols)
     if fault == "sum":
         rp.Partition(M5, cols).validate(require_sums=False)
+
+
+# one fault at one random slot of a standard partition; the bulk scans must
+# fail exactly as the element-by-element oracles do
+SCAN_FAULTS = ("none", "width", "negative", "repeat", "sum", "gap")
+
+
+def _faulty_columns(cfg, horizon, fault, data):
+    cols = [list(col) for col in rp.standard_partition(cfg, horizon).columns]
+    rank = data.draw(st.integers(1, horizon), label="rank")
+    entry = data.draw(st.integers(0, cfg.t), label="entry")
+    col = cols[rank - 1]
+    if fault == "width":
+        if data.draw(st.booleans(), label="shorten"):
+            del col[entry]
+        else:
+            col.insert(entry, 10**6)
+    elif fault == "negative":
+        col[entry] = -1 - col[entry]
+    elif fault == "repeat":
+        other = data.draw(st.integers(1, horizon), label="other rank")
+        col[entry] = data.draw(st.sampled_from([x for x in cols[other - 1] if x != col[entry]]))
+    elif fault == "sum":  # an exchange between two ranks moves value from one column sum to the other
+        other = data.draw(st.integers(1, horizon).filter(lambda n: n != rank), label="other rank")
+        col[entry], cols[other - 1][entry] = cols[other - 1][entry], col[entry]
+    elif fault == "gap":  # the entry leaves for a value above everything stored
+        col[entry] += 10**6
+    return [tuple(col) for col in cols]
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as e:  # the type and the message are the outcome
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("as_generator", (False, True), ids=("tuple", "generator"))
+@pytest.mark.parametrize("fault", SCAN_FAULTS)
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from((5, 7, 9)), horizon=st.sampled_from((12, 64, 257)), data=st.data())
+def test_bulk_scans_agree_with_element_scans(fault, as_generator, m, horizon, data):
+    cfg = rp.ModulusConfig(m)
+    cols = _faulty_columns(cfg, horizon, fault, data)
+    p = rp.Partition(cfg, tuple(cols))
+    for require_sums in (True, False):
+        given_cols = (col for col in cols) if as_generator else tuple(cols)
+        got = _outcome(lambda: check_columns(cfg, given_cols, require_sums))
+        assert got == _outcome(lambda: check_columns_scan(m, cols, require_sums))
+        got = _outcome(lambda: p.validate(require_sums))
+        assert got == _outcome(lambda: validate_scan(m, cols, require_sums))
+    upto = data.draw(st.integers(1, horizon), label="broken_ranks horizon")
+    assert rp.broken_ranks(p, upto) == broken_ranks_scan(m, cols, upto)
+    assert rp.broken_ranks(p) == broken_ranks_scan(m, cols, horizon)

@@ -197,5 +197,8 @@ def test_broken_ranks_and_pattern_check(std_deep):
     # the scan stops at the horizon: rank 7 is the first broken one
     assert rp.verify_sum_pattern(q, 6)
     assert not rp.verify_sum_pattern(q, 7)
+    # a horizon below 1 scans nothing
+    assert rp.broken_ranks(q, 0) == rp.broken_ranks(q, -3) == ()
+    assert rp.verify_sum_pattern(q, -3)
     with pytest.raises(HorizonError):
         rp.verify_sum_pattern(std_deep, std_deep.horizon + 1)
