@@ -111,10 +111,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_reshuffle(args: argparse.Namespace) -> int:
-    m = args.m if args.m is not None else 5
-    if m != 5:
-        raise ValueError("reshuffle families are defined for m=5 only")
-    std = standard_partition(ModulusConfig(m), args.horizon)
+    std = standard_partition(ModulusConfig(args.m if args.m is not None else 5), args.horizon)
     family = reshuffle_family_i if args.family == "i" else reshuffle_family_ii
     try:
         p = family(std, args.kmax)

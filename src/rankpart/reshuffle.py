@@ -11,13 +11,22 @@ families of such exchanges exist for the m=5 standard partition:
   family ii (k >= 0): the pair at rank 4k+3 in sets two and three trades
       places with the pair at rank 6k+4 in sets one and two; both pairs
       sum to 30k + 17.
+
+The pair sums hold only at m=5, so both families refuse any other modulus.
+Each builds its output with two extended-slice assignments over the list of
+columns (the new tuples zipped from `itemgetter` maps over the old ones), not
+a loop per k; every column no exchange touches stays the input's own tuple,
+which lets the verification battery find the exchanged ranks by identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import HorizonError
 from .partition import Partition, broken_ranks
+
+_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -59,20 +68,26 @@ def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]
     return q, broken_ranks(q)
 
 
+def _check_family(p: Partition, k_max: int) -> None:
+    if p.cfg.m != 5:
+        raise ValueError("reshuffle families are defined for m=5 only")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+
+
 def reshuffle_family_i(p: Partition, k_max: int) -> Partition:
     """Apply the family-i exchanges for k = 1..k_max to an m=5 standard partition.
 
     Needs horizon >= 6*k_max; k_max = 0 returns the input unchanged.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _check_family(p, k_max)
     if p.horizon < 6 * k_max:
         raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max}")
     cols = list(p.columns)
-    for k in range(1, k_max + 1):  # ranks 4k are even and 6k-1 odd, so no column is touched twice
-        a, b = cols[4 * k - 1], cols[6 * k - 2]
-        cols[4 * k - 1] = (b[0], a[1], b[1], *a[3:])
-        cols[6 * k - 2] = (a[0], a[2], *b[2:])
+    # ranks 4k are even and 6k-1 odd, so the two slices never share a column
+    a, b = cols[3:4 * k_max:4], cols[4:6 * k_max:6]
+    cols[3:4 * k_max:4] = zip(map(_first, b), map(_second, a), map(_second, b))
+    cols[4:6 * k_max:6] = zip(map(_first, a), map(_third, a), map(_third, b))
     return Partition(p.cfg, tuple(cols))
 
 
@@ -81,15 +96,14 @@ def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
 
     k_max counts applications; needs horizon >= 6*k_max + 4 when k_max > 0.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _check_family(p, k_max)
     if k_max and p.horizon < 6 * k_max + 4:
         raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max + 4}")
     cols = list(p.columns)
-    for k in range(k_max):  # ranks 4k+3 are odd and 6k+4 even, so no column is touched twice
-        a, b = cols[4 * k + 2], cols[6 * k + 3]
-        cols[4 * k + 2] = (a[0], b[0], b[1], *a[3:])
-        cols[6 * k + 3] = (a[1], a[2], *b[2:])
+    # ranks 4k+3 are odd and 6k+4 even, so the two slices never share a column
+    a, b = cols[2:4 * k_max:4], cols[3:6 * k_max:6]
+    cols[2:4 * k_max:4] = zip(map(_first, a), map(_first, b), map(_second, b))
+    cols[3:6 * k_max:6] = zip(map(_second, a), map(_third, a), map(_third, b))
     return Partition(p.cfg, tuple(cols))
 
 

@@ -5,7 +5,8 @@ buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
 keeping a cursor, the signature and deviation oracles scan every rank
 forward, the union grouping keys heads by their sorted union tuple, and
-the column, gap and column-sum scans visit every element or rank in turn.
+the column, gap and column-sum scans visit every element or rank in turn,
+and the reshuffle loops make one family exchange at a time.
 Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
@@ -189,6 +190,26 @@ def validate_scan(m: int, columns, require_sums: bool = True) -> None:
         for x in range(bound):
             if x not in seen:
                 raise rp.InvariantError(f"prefix incomplete: {x} missing below {bound}")
+
+
+def reshuffle_family_i_loop(columns, k_max: int) -> list[tuple[int, ...]]:
+    """Family i for k = 1..k_max, one exchange at a time, at ranks 4k and 6k-1."""
+    cols = list(columns)
+    for k in range(1, k_max + 1):
+        a, b = cols[4 * k - 1], cols[6 * k - 2]
+        cols[4 * k - 1] = (b[0], a[1], b[1], *a[3:])
+        cols[6 * k - 2] = (a[0], a[2], *b[2:])
+    return cols
+
+
+def reshuffle_family_ii_loop(columns, k_max: int) -> list[tuple[int, ...]]:
+    """Family ii for k = 0..k_max-1, one exchange at a time, at ranks 4k+3 and 6k+4."""
+    cols = list(columns)
+    for k in range(k_max):
+        a, b = cols[4 * k + 2], cols[6 * k + 3]
+        cols[4 * k + 2] = (a[0], b[0], b[1], *a[3:])
+        cols[6 * k + 3] = (a[1], a[2], *b[2:])
+    return cols
 
 
 def broken_ranks_scan(m: int, columns, horizon: int) -> tuple[int, ...]:

@@ -182,6 +182,7 @@ def test_reshuffle_requires_five_sets(capsys):
     code, _, err = run(capsys, "reshuffle", "--m", "7", "--family", "i",
                        "--kmax", "1", "--horizon", "12")
     assert code == 2
+    assert "reshuffle families are defined for m=5 only" in err
 
 
 def test_reshuffle_kmax_beyond_horizon(capsys):

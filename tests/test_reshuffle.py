@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankpart as rp
+from oracles import reshuffle_family_i_loop, reshuffle_family_ii_loop
 from rankpart.errors import HorizonError
 
 M5 = rp.ModulusConfig(5)
@@ -123,6 +124,43 @@ def test_families_on_random_k_keep_the_pattern(horizon, data):
     for out in (rp.reshuffle_family_i(p, k_i), rp.reshuffle_family_ii(p, k_ii)):
         assert rp.verify_sum_pattern(out, horizon)
         out.validate()
+    assert_families_match_the_loops(p, k_i, k_ii)
+
+
+def assert_families_match_the_loops(p, k_i, k_ii):
+    for family, loop, k_max in (
+        (rp.reshuffle_family_i, reshuffle_family_i_loop, k_i),
+        (rp.reshuffle_family_ii, reshuffle_family_ii_loop, k_ii),
+    ):
+        out = family(p, k_max)
+        assert list(out.columns) == loop(p.columns, k_max)
+        # a column no exchange touches is the input's own tuple, not a copy
+        assert all(got is col for got, col in zip(out.columns, p.columns) if got == col)
+
+
+def test_families_match_the_loops_at_every_k():
+    for horizon in range(6, 65):
+        p = rp.standard_partition(M5, horizon)
+        for k_i in range(horizon // 6 + 1):
+            assert_families_match_the_loops(p, k_i, 0)
+        for k_ii in range(max((horizon - 4) // 6, 0) + 1):
+            assert_families_match_the_loops(p, 0, k_ii)
+
+
+def test_families_match_the_loops_at_the_largest_k():
+    p = rp.standard_partition(M5, 16384)
+    assert_families_match_the_loops(p, 16384 // 6, (16384 - 4) // 6)
+
+
+def test_families_refuse_other_moduli():
+    p = rp.standard_partition(M7, 64)
+    # the pair sums match only at m = 5: at m = 7 family i would leave column 4 at 64, not 57
+    assert sum(reshuffle_family_i_loop(p.columns, 10)[3]) == 64 != rp.sum_schedule(M7, 4)
+    for cfg in (M7, rp.ModulusConfig(9)):
+        p = rp.standard_partition(cfg, 64)
+        for family in (rp.reshuffle_family_i, rp.reshuffle_family_ii):
+            with pytest.raises(ValueError, match="reshuffle families are defined for m=5 only"):
+                family(p, 10)
 
 
 def test_family_i_first_exchange(std_deep):
