@@ -17,24 +17,44 @@ any other x when its index x - x//m - 1 among the non-multiples is below
 t*n.  From D alone `_next_event` finds the first rank whose column can
 differ from the standard column; every rank before it takes the standard
 column and leaves D as it is, so the builder jumps there and takes one dense
-step (`_dense_step`).  Many prefixes advance side by side this way and merge
-where their D sets meet.  `lockstep_classes` sorts the extensions into
-equivalence classes, `_extension_maps` returns the map of deviating columns
-of every extension, `lockstep_extensions` builds from each map the standard
-columns with the deviating ones overridden, handing the map over as the
-partition's deviation map, and `greedy_extend`
-runs the same engine on one prefix.  The dense builder it is tested against,
-one rank at a time over an explicit used set, lives in tests/oracles.py.
+step (`_dense_step`).  That step tests standard membership near rank n by
+arithmetic and moves D by the few elements where its column and the
+standard column differ.
+
+Many prefixes advance side by side this way and merge where their D sets
+meet.  On entry every prefix is checked in one bulk pass of C builtins
+(partition.check_prefixes), and D+, D- are set differences of each prefix's
+element set against the standard one; only a failing pass checks the
+prefixes one by one, to raise the first prefix's own error.  At each event
+rank the builders due there step first and are merged, and only the
+survivors look up their next event.  The engine records just the columns it
+fills; a prefix's own columns stay with the caller.  `lockstep_classes`
+sorts the extensions into equivalence classes, `_extension_maps` returns the
+map of deviating columns of every extension, prefix ranks first,
+`lockstep_extensions` builds from each map the standard columns with the
+deviating ones overridden, handing the map over as the partition's deviation
+map, and `greedy_extend` runs the same engine on one prefix.  The dense
+builder it is tested against, one rank at a time over an explicit used set,
+lives in tests/oracles.py.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 
 from .config import ModulusConfig
 from .errors import CollisionError, InvariantError, NegativeError
-from .partition import Column, Partition, check_columns, standard_columns, sum_schedule
+from .partition import (
+    Column,
+    Partition,
+    check_columns,
+    check_prefixes,
+    deviation_map,
+    standard_columns,
+    sum_schedule,
+)
 
 
 def _next_event(m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset[int]) -> float:
@@ -58,15 +78,19 @@ def _next_event(m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset
     if n == 0:
         return 1
     event = math.inf
-    for x in dminus:
-        j, r = divmod(x, m)
-        if r:
-            return n + 1
-        event = min(event, 2 * j + 1)
-    for x in dplus:
-        j, r = divmod(x, m)
-        event = min(event, (x - j - 1) // t + 1 if r else j + 1)
-    return max(event, n + 1)
+    if dminus:
+        for x in dminus:
+            if x % m:
+                return n + 1
+        event = 2 * (min(dminus) // m) + 1
+    for x in dplus:  # no element of D+ is used by the standard partition at rank n
+        j = x // m
+        rank = j + 1 if x == m * j else (x - j - 1) // t + 1
+        if rank < event:
+            if rank == n + 1:
+                return rank
+            event = rank
+    return event if event > n else n + 1
 
 
 def _dense_step(
@@ -78,33 +102,46 @@ def _dense_step(
     new (D+, D-).  Raises NegativeError for a negative forced entry and
     CollisionError for one already used, each with the rank and the value.
     """
-    tn = t * n
-
-    def std_used(x: int) -> bool:
-        j = x // m
-        return j < n if x == m * j else x - j - 1 < tn
-
-    # The smallest integer the standard partition leaves free at rank n;
-    # below it only D- is free.
-    lo = min((t + 1) * n - (n + 1) // 2 + 1, m * n)
-    picks = sorted(x for x in dminus if x < lo)[:t]
+    # The standard column of rank n+1 is base+1, ..., base+t and m*n.  From
+    # lo on, the standard partition has used only the multiples below m*n;
+    # below lo it has used everything, so only D- is free there.
+    base = (t + 1) * n - (n + 1) // 2
+    top = base + t
+    mn = m * n
+    lo = base + 1 if n else 0
+    picks = sorted([x for x in dminus if x < lo])[:t] if dminus else []
     v = lo
     while len(picks) < t:
-        if v in dminus or not (v in dplus or std_used(v)):
+        if v in dminus or not (v in dplus or (v < mn and not v % m)):
             picks.append(v)
         v += 1
     last = (t + 1) ** 2 * n + t * (n // 2) + t * (t + 1) // 2 - sum(picks)
     if last < 0:
         raise NegativeError(n + 1, last)
-    if last in picks or last in dplus or (std_used(last) and last not in dminus):
+    j = last // m
+    std_used = j < n if last == m * j else last - j - 1 < t * n
+    if last in dplus or last in picks or (std_used and last not in dminus):
         raise CollisionError(n + 1, last)
-    col = (*picks, last)
-    base = (t + 1) * n - (n + 1) // 2
-    std = (*range(base + 1, base + t + 1), m * n)
-    if col == std:
+    if last == mn and picks[0] == base + 1 and picks[-1] == top:
         return None, dplus, dminus
-    new, old = set(col), set(std)
-    return col, frozenset((dplus | new) - old - dminus), frozenset((dminus | old) - new - dplus)
+    col = (*picks, last)
+    # Only the elements where col and the standard column differ move D: an
+    # element of col outside the standard column leaves D- or enters D+, an
+    # element of the standard column outside col leaves D+ or enters D-.
+    plus, minus = set(dplus), set(dminus)
+    for x in col:
+        if not (base < x <= top or x == mn):
+            if x in minus:
+                minus.remove(x)
+            else:
+                plus.add(x)
+    for x in (*range(base + 1, top + 1), mn):
+        if x not in col:
+            if x in plus:
+                plus.remove(x)
+            else:
+                minus.add(x)
+    return col, frozenset(plus), frozenset(minus)
 
 
 def _state_key(dplus: frozenset[int], dminus: frozenset[int]) -> tuple:
@@ -117,44 +154,43 @@ def _run_lockstep(
 ) -> tuple[list[int], list[int | None], list[int], list[dict[int, Column]], list[Exception | None]]:
     """Advance one builder per prefix from event to event; the core of every entry point.
 
-    Returns (parent, roots, held, deviations, errors).  parent[i] is the
-    earlier builder that builder i merged into (i itself when it never
-    merged), roots[i] the first builder of its class or None when that class
-    died, and held[i] the rank to which builder i's own columns count: its
-    merge rank, else the horizon.  deviations[i] maps each rank whose column
-    builder i filled, or took from its prefix, and which is not the standard
-    column to that column, and errors[i] is the CollisionError or
-    NegativeError that stopped builder i, or None.
+    Returns (parent, roots, held, filled, errors).  parent[i] is the earlier
+    builder that builder i merged into (i itself when it never merged),
+    roots[i] the first builder of its class or None when that class died,
+    and held[i] the rank to which builder i's own columns count: its merge
+    rank, else the horizon.  filled[i] maps each rank past the prefix whose
+    column builder i filled and which is not the standard column to that
+    column; the prefix's own columns are the caller's.  errors[i] is the
+    CollisionError or NegativeError that stopped builder i, or None.
 
-    Builders merge at the prefix rank and at every rank up to H/2 where
-    their (D+, D-) are equal; the later index joins the earlier one.  D
-    changes only at events, so at each event rank every builder whose event
-    it is steps first, and only then are their new states compared with
-    every live builder's.  Past H/2 only the roots advance, to the horizon.
+    All prefixes are validated in one bulk pass (partition.check_prefixes)
+    and D+, D- come from their element sets by set difference.  Builders
+    merge at the prefix rank and at every rank up to H/2 where their
+    (D+, D-) are equal; the later index joins the earlier one.  D changes
+    only at events, so at each event rank every builder whose event it is
+    steps first, then their new states are compared with every live
+    builder's, and only the builders still alive after that get their next
+    event scheduled.  Past H/2 only the roots advance, to the horizon.
     """
     m, t = cfg.m, cfg.t
-    prefixes = [[tuple(col) for col in cols] for cols in prefixes]
-    used = [check_columns(cfg, cols) for cols in prefixes]
+    prefixes = list(map(tuple, prefixes))
     if not prefixes:
         return [], [], [], [], []
+    used = check_prefixes(cfg, prefixes)
     start = len(prefixes[0])
-    if any(len(cols) != start for cols in prefixes):
-        raise ValueError("lockstep extension needs prefixes of equal length")
     if horizon < start:
         raise ValueError(f"horizon {horizon} is shorter than the {start}-column prefixes")
-    std = standard_columns(cfg, start)
-    std_used = {x for col in std for x in col}
-    plus = [frozenset(u - std_used) for u in used]
-    minus = [frozenset(std_used - u) for u in used]
-    deviations = [
-        {r: col for r, col in enumerate(cols, start=1) if col != std[r - 1]} for cols in prefixes
-    ]
-    events = [_next_event(m, t, start, p, q) for p, q in zip(plus, minus)]
+    std_used = frozenset(chain.from_iterable(standard_columns(cfg, start)))
+    plus = list(map(frozenset.difference, used, repeat(std_used)))
+    minus = list(map(std_used.difference, used))
     count = len(prefixes)
     parent = list(range(count))
     held = [horizon] * count
+    filled: list[dict[int, Column]] = [{} for _ in range(count)]
     errors: list[Exception | None] = [None] * count
     alive = [True] * count
+    keys = list(map(_state_key, plus, minus))
+    events: list[float] = [math.inf] * count
 
     def step(i: int, rank: int) -> bool:
         try:
@@ -163,33 +199,43 @@ def _run_lockstep(
             errors[i], alive[i] = e, False
             return False
         if col is not None:
-            deviations[i][rank] = col
-        events[i] = _next_event(m, t, rank, plus[i], minus[i])
+            filled[i][rank] = col
         return True
 
     def merge(i: int, j: int, rank: int) -> None:
         parent[i], held[i], alive[i] = j, rank, False
 
+    half = horizon // 2
+    due: dict[float, list[int]] = {}  # event rank up to H/2 -> the builders that step there
+    ranks: list[float] = []  # heap of the keys of due
+
+    def schedule(i: int, rank: int) -> None:
+        event = events[i] = _next_event(m, t, rank, plus[i], minus[i])
+        if event <= half:
+            if event in due:
+                due[event].append(i)
+            else:
+                due[event] = [i]
+                heapq.heappush(ranks, event)
+
     index: dict = {}  # merge key -> the live builder holding it
-    for i in range(count):
-        j = index.setdefault(_state_key(plus[i], minus[i]), i)
+    for i, key in enumerate(keys):
+        j = index.setdefault(key, i)
         if j != i:
             merge(i, j, start)
-    half = horizon // 2
-    heap = [(e, i) for i, e in enumerate(events) if alive[i] and e <= half]
-    heapq.heapify(heap)
-    while heap:
-        rank = heap[0][0]
+        else:
+            schedule(i, start)
+    while ranks:
+        rank = heapq.heappop(ranks)
         stepped = []
-        while heap and heap[0][0] == rank:
-            i = heapq.heappop(heap)[1]
+        for i in sorted(due.pop(rank)):
             if alive[i]:
-                del index[_state_key(plus[i], minus[i])]
+                del index[keys[i]]
                 if step(i, rank):
+                    keys[i] = _state_key(plus[i], minus[i])  # frees the old state's sets
                     stepped.append(i)
-        stepped.sort()
         for i in stepped:
-            key = _state_key(plus[i], minus[i])
+            key = keys[i]
             j = index.setdefault(key, i)
             if j < i:
                 merge(i, j, rank)
@@ -197,15 +243,17 @@ def _run_lockstep(
                 merge(j, i, rank)
                 index[key] = i
         for i in stepped:
-            if alive[i] and events[i] <= half:
-                heapq.heappush(heap, (events[i], i))
-    for i in range(count):
+            if alive[i]:
+                schedule(i, rank)
+    for i in range(count):  # past H/2: only the roots are alive
         while alive[i] and events[i] <= horizon:
-            step(i, events[i])
+            rank = events[i]
+            if step(i, rank):
+                events[i] = _next_event(m, t, rank, plus[i], minus[i])
     roots: list[int] = []
     for i, j in enumerate(parent):
         roots.append(i if j == i else roots[j])  # merges always point to an earlier builder
-    return parent, [None if errors[r] is not None else r for r in roots], held, deviations, errors
+    return parent, [None if errors[r] is not None else r for r in roots], held, filled, errors
 
 
 def _materialise(cfg: ModulusConfig, horizon: int, deviations: dict[int, Column]) -> Partition:
@@ -243,10 +291,10 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
     if horizon <= len(cols):
         check_columns(cfg, cols)
         return Partition(cfg, tuple(cols))
-    _, _, _, (deviations,), (error,) = _run_lockstep(cfg, [cols], horizon)
+    _, _, _, (filled,), (error,) = _run_lockstep(cfg, [cols], horizon)
     if error is not None:
         raise error
-    return _materialise(cfg, horizon, deviations)
+    return _materialise(cfg, horizon, deviation_map(cfg, cols) | filled)
 
 
 def lockstep_classes(
@@ -289,16 +337,17 @@ def _extension_maps(
     used set met an earlier builder's, then that builder's, since greedy
     extension from equal used sets is the same.
     """
-    parent, roots, held, deviations, _ = _run_lockstep(cfg, prefixes, horizon)
+    prefixes = [tuple(map(tuple, cols)) for cols in prefixes]
+    parent, roots, held, filled, _ = _run_lockstep(cfg, prefixes, horizon)
     full: list[dict[int, Column] | None] = []
-    for i, (j, root) in enumerate(zip(parent, roots)):
+    for i, (cols, j, root) in enumerate(zip(prefixes, parent, roots)):
         if root is None:
             full.append(None)
-        elif j == i:
-            full.append(deviations[i])
-        else:
-            inherited = {rank: col for rank, col in full[j].items() if rank > held[i]}
-            full.append(deviations[i] | inherited)  # own ranks are <= held[i]: rank order
+            continue
+        devs = deviation_map(cfg, cols) | filled[i]  # prefix ranks come first: rank order
+        if j != i:
+            devs |= {rank: col for rank, col in full[j].items() if rank > held[i]}
+        full.append(devs)  # own ranks are <= held[i]: still rank order
     return full
 
 

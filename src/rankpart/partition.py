@@ -18,11 +18,12 @@ sequence holds the multiples of m.  We call it the standard partition.
 
 The invariants of a column prefix also live here, once each, and every other
 module calls them: `check_columns` checks width, non-negative and distinct
-elements and the schedule sums, `broken_ranks` is the one scan of column sums
-against the schedule, and `standard_columns` builds every standard column
-tuple, cached so that every reader at one horizon shares them.  Each scan,
-and the gap test of `Partition.validate`, is a bulk pass of C builtins over
-all the columns (one set of every element, `map(sum, ...)` against the
+elements and the schedule sums (`check_prefixes` checks a batch of
+equal-length prefixes at once), `broken_ranks` is the one scan of column
+sums against the schedule, and `standard_columns` builds every standard
+column tuple, cached so that every reader at one horizon shares them.  Each
+scan, and the gap test of `Partition.validate`, is a bulk pass of C builtins
+over all the columns (one set of every element, `map(sum, ...)` against the
 schedule); only when that pass fails does a per-element loop run, to name
 the first violation.
 
@@ -104,9 +105,7 @@ class Partition:
     def deviations(self) -> dict[int, Column]:
         """Rank -> column at every stored non-standard rank, in rank order; cached, do not mutate."""
         if self._deviations is None:
-            std = standard_columns(self.cfg, self.horizon)
-            devs = {n: col for n, (col, want) in enumerate(zip(self.columns, std), 1) if col != want}
-            object.__setattr__(self, "_deviations", devs)
+            object.__setattr__(self, "_deviations", deviation_map(self.cfg, self.columns))
         return self._deviations
 
     def column(self, n: int) -> Column:
@@ -179,6 +178,36 @@ def check_columns(
     return seen
 
 
+def check_prefixes(
+    cfg: ModulusConfig, prefixes: Sequence[Sequence[Sequence[int]]]
+) -> list[frozenset[int]]:
+    """check_columns on every prefix of a batch of equal length; the element set of each.
+
+    One bulk pass checks every prefix at once: lengths, column widths, one
+    element set per prefix of the full size, its minimum, and every column
+    sum against the schedule.  Only when it fails does check_columns run on
+    each prefix in turn, so the first malformed prefix raises its own
+    InvariantError; a batch of well-formed prefixes that differ in length
+    raises ValueError.
+    """
+    used = list(map(frozenset, map(chain.from_iterable, prefixes)))
+    start = len(prefixes[0]) if prefixes else 0
+    if (
+        {start}.issuperset(map(len, prefixes))
+        and {cfg.set_count}.issuperset(map(len, chain.from_iterable(prefixes)))
+        and {cfg.set_count * start}.issuperset(map(len, used))
+        and (not start or min(map(min, used)) >= 0)
+        and all(
+            map(eq, map(sum, chain.from_iterable(prefixes)), cycle(islice(_schedule(cfg), start)))
+        )
+    ):
+        return used
+    for columns in prefixes:
+        check_columns(cfg, columns)
+    # every prefix is well formed, so the bulk pass failed on the lengths
+    raise ValueError("lockstep extension needs prefixes of equal length")
+
+
 def broken_ranks(p: Partition, horizon: int | None = None) -> tuple[int, ...]:
     """Ranks up to horizon (default: all stored) whose column sum misses the schedule."""
     if horizon is None:
@@ -199,6 +228,12 @@ def standard_columns(cfg: ModulusConfig, horizon: int) -> tuple[Column, ...]:
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     return tuple(standard_column(cfg, n) for n in range(1, horizon + 1))
+
+
+def deviation_map(cfg: ModulusConfig, columns: Sequence[Column]) -> dict[int, Column]:
+    """Rank -> column at every rank whose column is not the standard one, in rank order."""
+    std = standard_columns(cfg, len(columns))
+    return {n: col for n, (col, want) in enumerate(zip(columns, std), 1) if col != want}
 
 
 def standard_partition(cfg: ModulusConfig, horizon: int) -> Partition:

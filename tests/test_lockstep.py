@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import rankpart as rp
 import rankpart.greedy as greedy
+from rankpart.partition import check_columns
 
 from oracles import PartitionBuilder, dense_lockstep, diff_scan, greedy_step
 
@@ -99,14 +100,30 @@ class ConstantHashKey(tuple):
 
 
 def test_constant_hash_leaves_every_merge_to_the_exact_comparison(monkeypatch):
+    """Every merge key comes from _state_key, so the patched key decides every merge.
+
+    The call count shows the patch took effect: each builder's state is
+    keyed at least once, at the prefix rank.
+    """
     cases = [(m, h) for m in (5, 7) for h in (8, 12, 16, 64, 256)]
     honest = {case: rp.run_census_both(*case) for case in cases}
     heads36 = rp.enumerate_heads(rp.ModulusConfig(5))
     honest_std = rp.standard_equivalent_heads(heads36, 256)
-    monkeypatch.setattr(greedy, "_state_key", lambda dplus, dminus: ConstantHashKey((dplus, dminus)))
+    calls = []
+
+    def constant_key(dplus, dminus):
+        calls.append(None)
+        return ConstantHashKey((dplus, dminus))
+
+    monkeypatch.setattr(greedy, "_state_key", constant_key)
     for case in cases:
+        calls.clear()
         assert rp.run_census_both(*case) == honest[case], case
+        builders = honest[case][0].dedup_groups + 1  # the groups and the standard head
+        assert len(calls) >= builders, case
+    calls.clear()
     assert rp.standard_equivalent_heads(heads36, 256) == honest_std == {1, 8, 15, 19, 26}
+    assert len(calls) >= len(rp.dedup_heads(heads36)) + 1
 
 
 def test_standard_head_joins_the_standard_union_at_rank_five():
@@ -133,6 +150,112 @@ def test_lockstep_rejects_short_horizon_and_ragged_prefixes():
         rp.lockstep_classes(cfg, [head, head[:4]], 64)
     with pytest.raises(rp.InvariantError):
         rp.lockstep_classes(cfg, [((0, 1, 2), (3, 4, 6))], 64)
+
+
+# --- the bulk entry check ----------------------------------------------------
+
+M5_FAULTS = {  # columns replaced in the standard head, one fault each
+    "width": {3: (6, 7, 10, 99)},
+    "width, element count kept": {2: (5, 7), 3: (3, 4, 6, 10)},  # every sum on the schedule
+    "negative": {2: (-5, 4, 13)},  # every sum on the schedule
+    "repeat": {3: (6, 13, 4)},  # 4 is in column 2; every sum on the schedule
+    "sum": {4: (8, 9, 16)},
+}
+
+
+def malformed_head(fault: str) -> tuple[tuple[int, ...], ...]:
+    head = list(std_head(rp.ModulusConfig(5)))
+    for rank, col in M5_FAULTS[fault].items():
+        head[rank - 1] = col
+    return tuple(head)
+
+
+def check_columns_message(cfg: rp.ModulusConfig, cols) -> str:
+    with pytest.raises(rp.InvariantError) as exc:
+        check_columns(cfg, cols)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("fault", sorted(M5_FAULTS))
+def test_malformed_middle_prefix_raises_the_check_columns_message(fault):
+    cfg = rp.ModulusConfig(5)
+    bad = malformed_head(fault)
+    want = check_columns_message(cfg, bad)
+    batch = [rp.enumerate_heads(cfg)[0].columns, bad, std_head(cfg)]
+    for entry in (rp.lockstep_classes, rp.lockstep_extensions):
+        with pytest.raises(rp.InvariantError) as exc:
+            entry(cfg, batch, 64)
+        assert str(exc.value) == want, (entry.__name__, fault)
+    with pytest.raises(rp.InvariantError) as exc:
+        rp.greedy_extend(cfg, bad, 64)
+    assert str(exc.value) == want
+
+
+def test_first_malformed_prefix_names_the_fault():
+    cfg = rp.ModulusConfig(5)
+    batch = [std_head(cfg), malformed_head("sum"), malformed_head("width")]
+    with pytest.raises(rp.InvariantError) as exc:
+        rp.lockstep_classes(cfg, batch, 64)
+    assert str(exc.value) == check_columns_message(cfg, batch[1])
+
+
+def test_invariant_error_comes_before_ragged_and_short_horizon_errors():
+    cfg = rp.ModulusConfig(5)
+    head, bad = std_head(cfg), malformed_head("repeat")
+    want = check_columns_message(cfg, bad)
+    for batch in ([head[:4], bad], [bad, head[:4]], [head, bad[:4], head[:3]]):
+        for horizon in (64, 2):
+            with pytest.raises(rp.InvariantError) as exc:
+                rp.lockstep_classes(cfg, batch, horizon)
+            assert str(exc.value) == want, (len(batch), horizon)
+    with pytest.raises(ValueError, match="equal length"):
+        rp.lockstep_classes(cfg, [head, head[:4]], 2)  # ragged before the horizon
+
+
+def test_empty_prefixes_and_the_empty_batch():
+    cfg = rp.ModulusConfig(5)
+    assert rp.lockstep_classes(cfg, [], 64) == []
+    assert rp.lockstep_classes(cfg, [], -1) == []
+    assert rp.lockstep_extensions(cfg, [], 64) == []
+    assert rp.lockstep_classes(cfg, [(), ()], 8) == [0, 0]
+    assert rp.greedy_extend(cfg, [], 0) == rp.Partition(cfg, ())
+    from_empty = rp.greedy_extend(cfg, [], 6)
+    assert from_empty.columns == (
+        (0, 1, 2), (3, 4, 5), (6, 7, 10), (8, 9, 15), (11, 12, 20), (13, 14, 25),
+    )
+    assert from_empty.deviations == {1: (0, 1, 2)}
+    assert rp.lockstep_extensions(cfg, [[]], 6) == [from_empty]
+    with pytest.raises(ValueError, match="shorter"):
+        rp.lockstep_classes(cfg, [()], -1)
+
+
+# --- the work the census does -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "m, horizon, steps, unmerged_events", ((11, 4096, 1214, 1833), (13, 64, 1884, 3448))
+)
+def test_census_work_is_pinned(monkeypatch, m, horizon, steps, unmerged_events):
+    """The dense steps a census takes are fixed; merged builders schedule no event.
+
+    unmerged_events is the number of event lookups when every builder that
+    stepped looked up its next event before the merge check.
+    """
+    calls = {"_dense_step": 0, "_next_event": 0}
+
+    def counted(name):
+        inner = getattr(greedy, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(greedy, name, counted(name))
+    rp.run_census(m, horizon)
+    assert calls["_dense_step"] == steps
+    assert calls["_next_event"] < unmerged_events
 
 
 def _prefix_pool(m: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import rankpart as rp
 from rankpart.errors import HorizonError, InvariantError
-from rankpart.partition import check_columns
+from rankpart.partition import check_columns, check_prefixes
 
 from oracles import PartitionBuilder, broken_ranks_scan, check_columns_scan, validate_scan
 
@@ -271,3 +271,30 @@ def test_bulk_scans_agree_with_element_scans(fault, as_generator, m, horizon, da
     upto = data.draw(st.integers(1, horizon), label="broken_ranks horizon")
     assert rp.broken_ranks(p, upto) == broken_ranks_scan(m, cols, upto)
     assert rp.broken_ranks(p) == broken_ranks_scan(m, cols, horizon)
+
+
+@pytest.mark.parametrize("fault", SCAN_FAULTS)
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from((5, 7)), length=st.integers(2, 12), data=st.data())
+def test_prefix_batch_check_agrees_with_one_scan_per_prefix(fault, m, length, data):
+    """check_prefixes: the first faulty prefix's error, else ValueError if ragged, else the sets."""
+    cfg = rp.ModulusConfig(m)
+    count = data.draw(st.integers(1, 4), label="prefixes")
+    batch = [rp.standard_partition(cfg, length).columns] * count
+    faulty = data.draw(st.integers(0, count - 1), label="faulty")
+    batch[faulty] = _faulty_columns(cfg, length, fault, data)
+    if data.draw(st.booleans(), label="ragged"):
+        short = data.draw(st.integers(0, count - 1), label="shortened")
+        batch[short] = batch[short][:-1]
+    want = None
+    for cols in batch:
+        outcome = _outcome(lambda: frozenset(check_columns_scan(m, cols)))
+        if outcome[0] != "ok":
+            want = outcome
+            break
+    if want is None:
+        if len({len(cols) for cols in batch}) > 1:
+            want = (ValueError, "lockstep extension needs prefixes of equal length")
+        else:
+            want = ("ok", [frozenset(check_columns_scan(m, cols)) for cols in batch])
+    assert _outcome(lambda: check_prefixes(cfg, batch)) == want
