@@ -13,7 +13,6 @@ from .config import ModulusConfig
 from .enumeration import (
     DedupGroup,
     Head,
-    count_statements,
     dedup_heads,
     enumerate_heads,
     enumerate_heads_general,
@@ -93,7 +92,6 @@ __all__ = [
     "check_signature",
     "classify",
     "complete_head",
-    "count_statements",
     "dedup_heads",
     "diff_vs_standard",
     "enumerate_heads",

@@ -8,13 +8,11 @@ from event to event, the ranks where its column can leave the standard
 partition's, and at rank 5 and at every rank up to H/2 builders whose used
 sets coincide are merged, the later one being dropped.
 
-That merge is exactly the equivalence at horizon H.  Greedy extension from
-rank n depends only on the set of integers used so far, so two builders with
-equal used sets at rank n <= H/2 have identical columns from rank n+1 on and
-equal element multisets in their first n columns: their columns agree beyond
-a rank N <= H/2 with equal prefix multisets.  Conversely two extensions that
-agree beyond some N <= H/2 with equal prefix multisets have equal used sets
-at rank H/2.  Past H/2 only the class roots extend, to the horizon.
+That merge is exactly the equivalence at horizon H.  Builders merge when
+their (D+, D-) meet by rank H/2, and that pair at rank H/2 is the element
+delta of equivalence._tail_key and fixes every later column, so builders
+merge exactly when their extensions' tail keys are equal; `_tail_key` shows
+why equal keys are the equivalence.  Past H/2 only the class roots extend.
 
 Some representatives for m >= 7 hit a forced collision while extending; a
 builder that fails takes its whole class with it, and those representatives

@@ -55,11 +55,6 @@ class Head:
     columns: tuple[tuple[int, ...], ...]
     choice_id: int | None = None
 
-    @property
-    def union_key(self) -> tuple[int, ...]:
-        """Sorted union of all head elements; equal keys mean equal greedy tails."""
-        return tuple(sorted(x for col in self.columns for x in col))
-
     def validate(self) -> None:
         check_columns(self.cfg, self.columns)
 
@@ -301,14 +296,6 @@ def enumerate_heads(cfg: ModulusConfig) -> list[Head]:
     if cfg.m != 5:
         raise ValueError("the fixed head table is specific to m=5; use enumerate_heads_general")
     return enumerate_heads_general(cfg, column_count=5)
-
-
-def count_statements(heads: list[Head]) -> int:
-    """Number of ordered variants across all heads: |heads| * ((t+1)!)^C."""
-    if not heads:
-        return 0
-    head = heads[0]
-    return len(heads) * math.factorial(head.cfg.set_count) ** len(head.columns)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ finite rank N and the first N columns hold the same elements as multisets.
 At a finite horizon H the decision is necessarily bounded: we locate the last
 differing rank, require it to fall in the first half of the horizon (tail
 agreement over a mere suffix proves nothing), and compare the prefix
-multisets.  These functions compare stored partitions; the census decides
-the same equivalence in one lockstep run (census._group_classes).
-`equivalent_up_to` and `classify` compare whole columns.
+multisets.  `equivalent_up_to` and `classify` decide it for stored
+partitions from their deviation maps alone (`_tail_key`); the census
+decides the same equivalence in one lockstep run (census._group_classes).
 
 For m=5 the twenty deduplicated head extensions collapse into eight classes,
 and each class deviates from the standard partition on explicit *exception
@@ -21,6 +21,7 @@ so their cost grows with the number of deviations, not with the horizon.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -144,51 +145,67 @@ def _require_stored(p: Partition, horizon: int) -> None:
         raise HorizonError(f"horizon {horizon} exceeds stored {p.horizon} columns")
 
 
+def _tail_key(p: Partition, horizon: int) -> tuple:
+    """(cfg, non-standard columns on (H/2, H], element delta on 1..H/2) of p's deviation map.
+
+    The delta is the multiset of p's first H/2 columns less the standard
+    partition's: each deviating column's elements counted up, the standard
+    column's at that rank counted down, zero counts dropped.  Counts, not
+    sets, since a column may repeat an element.
+
+    Equal keys are the equivalence at H (columns identical beyond some
+    N <= H/2, equal multisets in columns 1..N).  Equal keys give identical
+    columns on (H/2, H], so N <= H/2, and equal multisets on 1..H/2, hence
+    on 1..N as the columns on (N, H/2] are shared.  Conversely a witness
+    N <= H/2 leaves identical columns on (H/2, H] and, adding the shared
+    columns on (N, H/2], equal multisets on 1..H/2.  For a valid partition
+    (distinct elements) the delta is the lockstep engine's (D+, D-) at rank
+    H/2: D+ the elements counted +1, D- those counted -1.
+    """
+    half = horizon // 2
+    tail = []
+    delta: Counter[int] = Counter()
+    for n, col in p.deviations.items():
+        if n <= half:
+            delta.update(col)
+            delta.subtract(standard_column(p.cfg, n))
+        elif n <= horizon:
+            tail.append((n, col))
+    return p.cfg, tuple(tail), frozenset((x, c) for x, c in delta.items() if c)
+
+
 def equivalent_up_to(p: Partition, q: Partition, horizon: int) -> EquivalenceWitness | None:
     """Decide equivalence at a finite horizon.
 
     Returns the smallest N such that columns agree on (N, horizon] and the
     multisets of elements in columns 1..N coincide, provided N is at most
     horizon/2; None otherwise.  The half-horizon margin keeps a spurious
-    late agreement from counting as evidence.
+    late agreement from counting as evidence.  Equal tail keys decide the
+    verdict; N is then the last rank where the two deviation maps disagree.
     """
     if p.cfg != q.cfg:
         raise ValueError("partitions use different moduli")
     _require_stored(p, horizon)
     _require_stored(q, horizon)
-    last_diff = 0
-    for n in range(1, horizon + 1):
-        if p.columns[n - 1] != q.columns[n - 1]:
-            last_diff = n
-    if last_diff == 0:
-        return EquivalenceWitness(0, horizon)
-    if last_diff > horizon // 2:
+    if _tail_key(p, horizon) != _tail_key(q, horizon):
         return None
-    mine = sorted(x for col in p.columns[:last_diff] for x in col)
-    theirs = sorted(x for col in q.columns[:last_diff] for x in col)
-    if mine != theirs:
-        return None
-    return EquivalenceWitness(last_diff, horizon)
+    theirs = {n: col for n, col in q.deviations.items() if n <= horizon}  # _witness reads all of it
+    return EquivalenceWitness(_witness(p.cfg, p.deviations, theirs, horizon), horizon)
 
 
 def classify(partitions: list[Partition], horizon: int) -> list[list[int]]:
     """Group partitions into equivalence classes at the given horizon.
 
     Returns lists of indices into the input, ordered by first member.
-
-    Grouping uses the key (columns on the second half of the horizon, full
-    element multiset), which agrees with pairwise equivalent_up_to: a witness
-    N <= H/2 forces identical second halves and equal total multisets, and
-    conversely identical second halves put the last difference at N <= H/2
-    while equal totals minus the shared tail leave equal prefix multisets.
+    Partitions share a class exactly when their tail keys are equal, which
+    is when equivalent_up_to finds a witness (see _tail_key); partitions of
+    different moduli never share one.
     """
     buckets: dict[tuple, list[int]] = {}
-    half = horizon // 2
     for idx, p in enumerate(partitions):
         _require_stored(p, horizon)
-        key = (p.columns[half:horizon], tuple(sorted(x for col in p.columns[:horizon] for x in col)))
-        buckets.setdefault(key, []).append(idx)
-    return sorted(buckets.values(), key=lambda members: members[0])
+        buckets.setdefault(_tail_key(p, horizon), []).append(idx)
+    return list(buckets.values())  # a bucket enters the dict with its first member
 
 
 def diff_vs_standard(p: Partition, horizon: int) -> list[tuple[int, Column, Column]]:

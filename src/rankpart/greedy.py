@@ -303,21 +303,18 @@ def lockstep_classes(
     """Equivalence classes of the greedy extensions of equal-length prefixes.
 
     Returns, for each prefix, the index of the first prefix in its class, or
-    None when the class's extension does not reach the horizon.  Two
-    extensions are equivalent at horizon H when their columns agree beyond
-    some rank N <= H/2 and their first N columns hold the same elements
-    (see equivalence.equivalent_up_to).
+    None when the class's extension does not reach the horizon: the classes
+    of equivalence.classify on the extensions.
 
-    Greedy extension from rank n depends only on the set of used integers, so
-    builders that reach the same used set at the same rank n have identical
-    tails; with n <= H/2 that is exactly the equivalence above, and
-    conversely equivalent extensions share their used set at rank H/2.  The
-    builders therefore advance side by side and, at the prefix rank and at
-    every rank up to H/2, merge when their used sets, held as (D+, D-) around
-    the standard partition's, coincide.  A builder that hits a forced
-    collision or a negative entry takes its whole class with it.  Past H/2
-    only the surviving roots advance, to settle which of them die before the
-    horizon.
+    The builders advance side by side and, at the prefix rank and at every
+    rank up to H/2, merge when their used sets, held as (D+, D-) around the
+    standard partition's, coincide.  Greedy extension depends only on the
+    used set, so merged builders share their tails, and (D+, D-) at H/2 is
+    the element delta of equivalence._tail_key: a merge is an equality of
+    tail keys, which is the equivalence (argued there).  A builder that hits
+    a forced collision or a negative entry takes its whole class with it.
+    Past H/2 only the surviving roots advance, to settle which of them die
+    before the horizon.
 
     Raises ValueError when the prefixes differ in length or the horizon is
     shorter than them, and InvariantError when a prefix is malformed.

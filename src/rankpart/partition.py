@@ -29,9 +29,9 @@ the first violation.
 
 A partition also carries its deviation map: rank -> column wherever it is
 not standard.  The greedy engine hands over the map it keeps; any other
-partition scans its columns once, on first read.  `signature_witness` and
-`diff_vs_standard` read only the map; `classify`, `equivalent_up_to` and the
-stored `columns` stay dense.
+partition scans its columns once, on first read.  Equivalence
+(`classify`, `equivalent_up_to`), `signature_witness` and `diff_vs_standard`
+read only the map; the stored `columns` stay dense.
 """
 from __future__ import annotations
 

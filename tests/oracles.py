@@ -3,10 +3,10 @@
 These deliberately share no code with rankpart: the decomposition oracle
 buckets every increasing tuple by its sum instead of searching for one
 target, and the greedy oracle rescans from zero at every rank instead of
-keeping a cursor, the signature and deviation oracles scan every rank
-forward, the union grouping keys heads by their sorted union tuple, and
-the column, gap and column-sum scans visit every element or rank in turn,
-and the reshuffle loops make one family exchange at a time.
+keeping a cursor, the signature, deviation and equivalence oracles scan
+every rank forward, the union grouping keys heads by their sorted union
+tuple, the column, gap and column-sum scans visit every element or rank in
+turn, and the reshuffle loops make one family exchange at a time.
 Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
@@ -156,6 +156,41 @@ def diff_scan(m: int, columns, horizon: int) -> list[tuple[int, tuple[int, ...],
         for n in range(1, horizon + 1)
         if columns[n - 1] != (std := standard_column(m, n))
     ]
+
+
+def equivalent_scan(a, b, horizon: int) -> rp.EquivalenceWitness | None:
+    """Equivalence of two column sequences at the horizon, by a scan over every rank.
+
+    Finds the last rank up to horizon where the columns differ; beyond
+    horizon/2 there is no verdict, otherwise the sorted elements of the
+    columns up to that rank must match.
+    """
+    last_diff = 0
+    for n in range(1, horizon + 1):
+        if a[n - 1] != b[n - 1]:
+            last_diff = n
+    if last_diff > horizon // 2:
+        return None
+    mine = sorted(x for col in a[:last_diff] for x in col)
+    theirs = sorted(x for col in b[:last_diff] for x in col)
+    return rp.EquivalenceWitness(last_diff, horizon) if mine == theirs else None
+
+
+def classify_scan(columns_list, horizon: int) -> list[list[int]]:
+    """Indices grouped by (columns on the second half of the horizon, sorted elements of all).
+
+    Identical second halves put the last difference at or below horizon/2,
+    and equal element multisets less that shared tail leave equal prefix
+    multisets, so the groups are those of equivalent_scan.  Groups come in
+    order of first member.
+    """
+    half = horizon // 2
+    buckets: dict[tuple, list[int]] = {}
+    for idx, columns in enumerate(columns_list):
+        elements = tuple(sorted(x for col in columns[:horizon] for x in col))
+        key = (tuple(columns[half:horizon]), elements)
+        buckets.setdefault(key, []).append(idx)
+    return sorted(buckets.values(), key=lambda members: members[0])
 
 
 def check_columns_scan(m: int, columns, require_sums: bool = True) -> set[int]:

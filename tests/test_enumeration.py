@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import rankpart as rp
 import rankpart.enumeration as enumeration
 from rankpart.errors import ResourceError
+from rankpart.partition import check_columns
 
 from oracles import decomposition_table, head_columns, union_groups
 
@@ -169,19 +170,20 @@ def test_heads_group_by_shared_prefix(heads36):
 def test_heads_are_valid_and_keyed(heads36):
     for h in heads36:
         h.validate()
-        assert len(h.union_key) == 15
+        assert len(check_columns(h.cfg, h.columns)) == 15
 
 
-def test_statement_counts(heads36):
-    assert rp.count_statements(heads36) == 279936
-    assert rp.count_statements(heads36[:1]) == 7776
-    assert rp.count_statements([]) == 0
+def test_statement_counts():
+    # each head stands for (3!)^5 = 7776 ordered variants
+    report = rp.run_census(5, 64)
+    assert report.statements == report.heads * 7776 == 279936
 
 
 def test_seven_set_statement_count():
-    heads = rp.enumerate_heads_general(M7)
-    assert len(heads) == 365
-    assert rp.count_statements(heads) == 365 * 24**5
+    assert len(rp.enumerate_heads_general(M7)) == 365
+    report = rp.run_census(7, 64)
+    assert report.heads == 365
+    assert report.statements == 365 * 24**5
 
 
 def test_general_enumeration_matches_five_set_catalogue(heads36):
@@ -231,13 +233,13 @@ def test_dedup_merges_known_duplicates(groups36):
 
 
 def test_union_key_matches_tail_behaviour(heads36, ext_deep):
-    # two heads share a union key exactly when their deep tails coincide
+    # dedup_heads puts two heads in one group exactly when their deep tails coincide
     tails = {h.choice_id: ext_deep[h.choice_id].columns[5:] for h in heads36}
     for i, a in enumerate(heads36):
         for b in heads36[i + 1:]:
-            same_key = a.union_key == b.union_key
+            same_group = len(rp.dedup_heads([a, b])) == 1
             same_tail = tails[a.choice_id] == tails[b.choice_id]
-            assert same_key == same_tail
+            assert same_group == same_tail
 
 
 def test_partition_numbering_anchors(numbering):

@@ -1,6 +1,8 @@
 """Eventual-coincidence equivalence, classification, and signatures."""
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 import rankpart as rp
@@ -8,7 +10,7 @@ from rankpart.checks import INJECTIONS, _inject
 from rankpart.equivalence import SIGNATURES
 from rankpart.errors import HorizonError
 
-from oracles import diff_scan, signature_witness_scan
+from oracles import classify_scan, diff_scan, equivalent_scan, signature_witness_scan
 
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
@@ -313,17 +315,52 @@ def partitions_from_columns(horizon: int) -> dict[str, rp.Partition]:
     for name, rank in swap_ranks.items():
         if rank is not None:
             out[f"swap at {name} ({rank})"] = rp.swap_pair(std, rp.SwapSpec((1, rank), (2, rank)))[0]
+    # equal element sets, unequal multisets: only counts tell these two apart
+    for first in ((7, 7, 8), (7, 8, 8)):
+        out[f"repeats {first}"] = rp.Partition(M5, (first,) + std.columns[1:])
     return out
 
 
+@pytest.fixture(scope="module")
+def groups7():
+    return rp.head_groups(M7)[1]
+
+
+# pairwise checks on every pair up to this horizon, beyond it against two anchors each
+PAIRWISE_UP_TO = 2048
+
+
+def assert_equivalence_matches_scans(cases: dict[str, rp.Partition], anchors, horizon: int):
+    names, parts = list(cases), list(cases.values())
+    assert rp.classify(parts, horizon) == classify_scan([p.columns for p in parts], horizon)
+    if horizon <= PAIRWISE_UP_TO:
+        pairs = combinations_with_replacement(range(len(parts)), 2)
+    else:
+        pairs = ((i, names.index(a)) for i in range(len(parts)) for a in anchors)
+    for i, j in pairs:
+        want = equivalent_scan(parts[i].columns, parts[j].columns, horizon)
+        assert rp.equivalent_up_to(parts[i], parts[j], horizon) == want, (names[i], names[j])
+
+
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
-def test_map_readers_match_dense_scans(horizon, groups36, engine_at_top):
+def test_map_readers_match_dense_scans(horizon, groups36, groups7, engine_at_top):
     engine = rp.lockstep_extensions(M5, [g.representative.columns for g in groups36], horizon)
     cases = {f"engine head {g.representative.choice_id}": p for g, p in zip(groups36, engine)}
     if horizon < max(PARITY_HORIZONS):  # stored beyond the horizon read
         cases |= {f"deep head {g.representative.choice_id}": p for g, p in zip(groups36, engine_at_top)}
     cases |= partitions_from_columns(horizon)
     assert len(engine) == 21 and None not in engine
+    engine7 = rp.lockstep_extensions(M7, [g.representative.columns for g in groups7], horizon)
+    cases7 = {
+        f"m=7 engine head {g.representative.choice_id}": p
+        for g, p in zip(groups7, engine7)
+        if p is not None
+    } | {"m=7 standard": rp.standard_partition(M7, horizon)}
+    assert len(cases7) == 66
+    assert_equivalence_matches_scans(cases, ("standard", "engine head 3"), horizon)
+    assert_equivalence_matches_scans(cases7, ("m=7 standard", "m=7 engine head 2"), horizon)
+    mixed = [*cases.values(), *cases7.values()]
+    assert rp.classify(mixed, horizon) == classify_scan([p.columns for p in mixed], horizon)
     for name, p in cases.items():
         assert rp.diff_vs_standard(p, horizon) == diff_scan(5, p.columns, horizon), name
         for sig in SIGNATURES.values():

@@ -1,8 +1,10 @@
 """Lockstep frontier-state engine against the extend-everything reference.
 
 The reference census below extends every dedup representative to the
-horizon with greedy_extend and sorts the extensions with classify and
-equivalent_up_to, the way the census worked before the engine existed.
+horizon with greedy_extend and sorts the extensions' columns with the dense
+oracles classify_scan and equivalent_scan, the way the census worked before
+the engine existed; the map-based classify would read the deviation maps
+the engine itself handed over.
 lockstep_extensions is held to greedy_extend prefix by prefix.  Since
 greedy_extend runs the same event-driven engine, every entry point is also
 held to oracles.dense_lockstep, which steps PartitionBuilders rank by rank,
@@ -19,7 +21,14 @@ import rankpart as rp
 import rankpart.greedy as greedy
 from rankpart.partition import check_columns
 
-from oracles import PartitionBuilder, dense_lockstep, diff_scan, greedy_step
+from oracles import (
+    PartitionBuilder,
+    classify_scan,
+    dense_lockstep,
+    diff_scan,
+    equivalent_scan,
+    greedy_step,
+)
 
 HORIZONS = (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 64, 256)
 
@@ -48,7 +57,7 @@ def reference_fields(groups: list[rp.DedupGroup], horizon: int, protocol: str) -
         head_id
         for group in groups
         if (ext := extensions[group.representative.choice_id]) is not None
-        and rp.equivalent_up_to(ext, std, horizon) is not None
+        and equivalent_scan(ext.columns, std.columns, horizon) is not None
         for head_id in group.member_ids
     )
     selected = [
@@ -57,7 +66,7 @@ def reference_fields(groups: list[rp.DedupGroup], horizon: int, protocol: str) -
         if protocol == "include-standard" or not g.is_standard
     ]
     alive = [i for i in selected if extensions[i] is not None]
-    classes = rp.classify([extensions[i] for i in alive], horizon)
+    classes = classify_scan([extensions[i].columns for i in alive], horizon)
     return {
         "representatives": len(selected),
         "non_extendable": tuple(i for i in selected if extensions[i] is None),
@@ -286,7 +295,8 @@ def test_engine_classes_equal_classify(subset, horizon):
         except (rp.CollisionError, rp.NegativeError):
             extensions.append(None)
     alive = [i for i, ext in enumerate(extensions) if ext is not None]
-    expected = [[alive[k] for k in c] for c in rp.classify([extensions[i] for i in alive], horizon)]
+    classes = classify_scan([extensions[i].columns for i in alive], horizon)
+    expected = [[alive[k] for k in c] for c in classes]
     roots = rp.lockstep_classes(cfg, prefixes, horizon)
     got: dict[int, list[int]] = {}
     for i, root in enumerate(roots):
