@@ -2,11 +2,13 @@
 
 For every representative head: its partition number, equivalence class,
 signature witness (last rank off the class pattern), and the first few
-differing columns.
+differing columns.  A reader that closes stdout early ends the run quietly
+with exit 1.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from rankpart import (
@@ -32,19 +34,24 @@ def main(argv: list[str] | None = None) -> int:
     cfg = ModulusConfig(5)
     _, groups = head_groups(cfg)
     numbers = partition_numbering(groups)
-    print(f"{'head':>4} {'partition':>9} {'class':>5} {'witness':>7}  first diffs")
-    heads = [g.representative for g in groups if not g.is_standard]
-    extensions = lockstep_extensions(cfg, [head.columns for head in heads], args.horizon)
-    for head, p in zip(heads, extensions):
-        matches = signature_matches(p, args.horizon)
-        class_id, witness = matches[0] if matches else ("-", "-")
-        diffs = diff_vs_standard(p, args.horizon)
-        shown = ", ".join(
-            f"r{rank}:{'/'.join(map(str, got))}" for rank, _, got in diffs[:args.diffs]
-        )
-        more = f" (+{len(diffs) - args.diffs} more)" if len(diffs) > args.diffs else ""
-        print(f"{head.choice_id:>4} {numbers[head.choice_id]:>9} "
-              f"{class_id:>5} {witness:>7}  {shown}{more}")
+    try:
+        print(f"{'head':>4} {'partition':>9} {'class':>5} {'witness':>7}  first diffs")
+        heads = [g.representative for g in groups if not g.is_standard]
+        extensions = lockstep_extensions(cfg, [head.columns for head in heads], args.horizon)
+        for head, p in zip(heads, extensions):
+            matches = signature_matches(p, args.horizon)
+            class_id, witness = matches[0] if matches else ("-", "-")
+            diffs = diff_vs_standard(p, args.horizon)
+            shown = ", ".join(
+                f"r{rank}:{'/'.join(map(str, got))}" for rank, _, got in diffs[:args.diffs]
+            )
+            more = f" (+{len(diffs) - args.diffs} more)" if len(diffs) > args.diffs else ""
+            print(f"{head.choice_id:>4} {numbers[head.choice_id]:>9} "
+                  f"{class_id:>5} {witness:>7}  {shown}{more}")
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader left early, as `| head -2` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no second raise at exit
+        return 1
     return 0
 
 

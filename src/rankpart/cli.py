@@ -6,8 +6,10 @@ injection), diff (columns differing from the standard partition), reshuffle
 (apply an exchange family to the standard partition).
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage or
-parse error, 3 enumeration budget exhausted.  The RANKPART_NODE_BUDGET
-environment variable overrides the enumeration node cap.
+parse error, 3 enumeration budget exhausted.  A reader that closes stdout
+early, as in `rankpart census | head -1`, cuts the output short: the run
+ends quietly with exit 1.  The RANKPART_NODE_BUDGET environment variable
+overrides the enumeration node cap.
 """
 from __future__ import annotations
 
@@ -174,7 +176,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, InvariantError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -22,20 +22,20 @@ arithmetic and moves D by the few elements where its column and the
 standard column differ.
 
 Many prefixes advance side by side this way and merge where their D sets
-meet.  On entry every prefix is checked in one bulk pass of C builtins
-(partition.check_prefixes), and D+, D- are set differences of each prefix's
-element set against the standard one; only a failing pass checks the
-prefixes one by one, to raise the first prefix's own error.  At each event
-rank the builders due there step first and are merged, and only the
-survivors look up their next event.  The engine records just the columns it
-fills; a prefix's own columns stay with the caller.  `lockstep_classes`
-sorts the extensions into equivalence classes, `_extension_maps` returns the
-map of deviating columns of every extension, prefix ranks first,
-`lockstep_extensions` builds from each map the standard columns with the
-deviating ones overridden, handing the map over as the partition's deviation
-map, and `greedy_extend` runs the same engine on one prefix.  The dense
-builder it is tested against, one rank at a time over an explicit used set,
-lives in tests/oracles.py.
+meet.  On entry every prefix is checked by the one prefix validator
+(partition.check_prefixes, a bulk pass of C builtins), and D+, D- are
+frozensets of the set differences of each prefix's element set against the
+standard one.  One heap holds every builder's next event up to the horizon.
+At each event rank the builders due there step; up to H/2 they are then
+merged on (D+, D-), and only the survivors look up their next event.  The
+engine records just the columns it fills; a prefix's own columns stay with
+the caller.  `lockstep_classes` sorts the extensions into equivalence
+classes, `_extension_maps` returns the map of deviating columns of every
+extension, prefix ranks first, `lockstep_extensions` builds from each map
+the standard columns with the deviating ones overridden, handing the map
+over as the partition's deviation map, and `greedy_extend` runs the same
+engine on one prefix.  The dense builder it is tested against, one rank at
+a time over an explicit used set, lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -144,11 +144,6 @@ def _dense_step(
     return col, frozenset(plus), frozenset(minus)
 
 
-def _state_key(dplus: frozenset[int], dminus: frozenset[int]) -> tuple:
-    """Merge key of a builder: equal keys at one rank mean equal used sets."""
-    return dplus, dminus
-
-
 def _run_lockstep(
     cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
 ) -> tuple[list[int], list[int | None], list[int], list[dict[int, Column]], list[Exception | None]]:
@@ -164,13 +159,14 @@ def _run_lockstep(
     CollisionError or NegativeError that stopped builder i, or None.
 
     All prefixes are validated in one bulk pass (partition.check_prefixes)
-    and D+, D- come from their element sets by set difference.  Builders
-    merge at the prefix rank and at every rank up to H/2 where their
-    (D+, D-) are equal; the later index joins the earlier one.  D changes
-    only at events, so at each event rank every builder whose event it is
-    steps first, then their new states are compared with every live
-    builder's, and only the builders still alive after that get their next
-    event scheduled.  Past H/2 only the roots advance, to the horizon.
+    and D+, D- are frozensets of the set differences between each prefix's
+    element set and the standard one.  Builders merge at the prefix rank and
+    at every rank up to H/2 where their (D+, D-) are equal; the later index
+    joins the earlier one.  D changes only at events, and one heap holds
+    every builder's next event up to the horizon.  At each event rank every
+    live builder due there steps; up to H/2 their new states are then
+    compared with every live builder's, and only the builders still alive
+    after that get their next event scheduled.
     """
     m, t = cfg.m, cfg.t
     prefixes = list(map(tuple, prefixes))
@@ -181,16 +177,14 @@ def _run_lockstep(
     if horizon < start:
         raise ValueError(f"horizon {horizon} is shorter than the {start}-column prefixes")
     std_used = frozenset(chain.from_iterable(standard_columns(cfg, start)))
-    plus = list(map(frozenset.difference, used, repeat(std_used)))
-    minus = list(map(std_used.difference, used))
+    plus = list(map(frozenset, map(set.difference, used, repeat(std_used))))
+    minus = list(map(frozenset, map(std_used.difference, used)))
     count = len(prefixes)
     parent = list(range(count))
     held = [horizon] * count
     filled: list[dict[int, Column]] = [{} for _ in range(count)]
     errors: list[Exception | None] = [None] * count
     alive = [True] * count
-    keys = list(map(_state_key, plus, minus))
-    events: list[float] = [math.inf] * count
 
     def step(i: int, rank: int) -> bool:
         try:
@@ -205,51 +199,48 @@ def _run_lockstep(
     def merge(i: int, j: int, rank: int) -> None:
         parent[i], held[i], alive[i] = j, rank, False
 
-    half = horizon // 2
-    due: dict[float, list[int]] = {}  # event rank up to H/2 -> the builders that step there
+    due: dict[float, list[int]] = {}  # event rank -> the builders that step there
     ranks: list[float] = []  # heap of the keys of due
 
     def schedule(i: int, rank: int) -> None:
-        event = events[i] = _next_event(m, t, rank, plus[i], minus[i])
-        if event <= half:
+        event = _next_event(m, t, rank, plus[i], minus[i])
+        if event <= horizon:
             if event in due:
                 due[event].append(i)
             else:
                 due[event] = [i]
                 heapq.heappush(ranks, event)
 
-    index: dict = {}  # merge key -> the live builder holding it
-    for i, key in enumerate(keys):
+    index: dict = {}  # (D+, D-) -> the live builder holding it
+    for i, key in enumerate(zip(plus, minus)):
         j = index.setdefault(key, i)
         if j != i:
             merge(i, j, start)
         else:
             schedule(i, start)
+    half = horizon // 2
     while ranks:
         rank = heapq.heappop(ranks)
+        merging = rank <= half  # past H/2 the live builders, the roots, only step
         stepped = []
         for i in sorted(due.pop(rank)):
             if alive[i]:
-                del index[keys[i]]
+                if merging:
+                    del index[plus[i], minus[i]]
                 if step(i, rank):
-                    keys[i] = _state_key(plus[i], minus[i])  # frees the old state's sets
                     stepped.append(i)
-        for i in stepped:
-            key = keys[i]
-            j = index.setdefault(key, i)
-            if j < i:
-                merge(i, j, rank)
-            elif j > i:  # a builder that did not step at this rank
-                merge(j, i, rank)
-                index[key] = i
+        if merging:
+            for i in stepped:
+                key = plus[i], minus[i]
+                j = index.setdefault(key, i)
+                if j < i:
+                    merge(i, j, rank)
+                elif j > i:  # a builder that did not step at this rank
+                    merge(j, i, rank)
+                    index[key] = i
         for i in stepped:
             if alive[i]:
                 schedule(i, rank)
-    for i in range(count):  # past H/2: only the roots are alive
-        while alive[i] and events[i] <= horizon:
-            rank = events[i]
-            if step(i, rank):
-                events[i] = _next_event(m, t, rank, plus[i], minus[i])
     roots: list[int] = []
     for i, j in enumerate(parent):
         roots.append(i if j == i else roots[j])  # merges always point to an earlier builder
@@ -313,7 +304,7 @@ def lockstep_classes(
     the element delta of equivalence._tail_key: a merge is an equality of
     tail keys, which is the equivalence (argued there).  A builder that hits
     a forced collision or a negative entry takes its whole class with it.
-    Past H/2 only the surviving roots advance, to settle which of them die
+    Past H/2 the surviving roots only step, to settle which of them die
     before the horizon.
 
     Raises ValueError when the prefixes differ in length or the horizon is

@@ -17,15 +17,15 @@ sequence i < t+1 holds the numbers congruent to i or t+i mod m, and the last
 sequence holds the multiples of m.  We call it the standard partition.
 
 The invariants of a column prefix also live here, once each, and every other
-module calls them: `check_columns` checks width, non-negative and distinct
-elements and the schedule sums (`check_prefixes` checks a batch of
-equal-length prefixes at once), `broken_ranks` is the one scan of column
-sums against the schedule, and `standard_columns` builds every standard
-column tuple, cached so that every reader at one horizon shares them.  Each
-scan, and the gap test of `Partition.validate`, is a bulk pass of C builtins
-over all the columns (one set of every element, `map(sum, ...)` against the
-schedule); only when that pass fails does a per-element loop run, to name
-the first violation.
+module calls them: `check_prefixes` checks width, non-negative and distinct
+elements and the schedule sums of a batch of equal-length prefixes at once
+(`check_columns` is its one-prefix call), `broken_ranks` is the one scan of
+column sums against the schedule, and `standard_columns` builds every
+standard column tuple, cached so that every reader at one horizon shares
+them.  Each scan, and the gap test of `Partition.validate`, is a bulk pass
+of C builtins over all the columns (one set of every element, `map(sum,
+...)` against the schedule); only when that pass fails does a per-element
+loop run, to name the first violation.
 
 A partition also carries its deviation map: rank -> column wherever it is
 not standard.  The greedy engine hands over the map it keeps; any other
@@ -143,67 +143,54 @@ class Partition:
 def check_columns(
     cfg: ModulusConfig, columns: Iterable[Sequence[int]], require_sums: bool = True
 ) -> set[int]:
-    """Check a column prefix and return the set of elements it uses.
-
-    Raises InvariantError on the first column with the wrong width, a
-    negative element or an element used before, or, unless require_sums is
-    false, a sum off the schedule.  The check is one bulk pass; the
-    column-by-column loop runs only when it fails, to name the first fault.
-    """
+    """Check a column prefix and return the set of elements it uses: check_prefixes on one prefix."""
     if not isinstance(columns, Sequence):
         columns = tuple(columns)
-    width = cfg.set_count
-    seen = set(chain.from_iterable(columns))
-    if (
-        {width}.issuperset(map(len, columns))
-        and len(seen) == width * len(columns)
-        and (not seen or min(seen) >= 0)
-        and (not require_sums or all(map(eq, map(sum, columns), _schedule(cfg))))
-    ):
-        return seen
-    seen = set()
-    for idx, (col, want) in enumerate(zip(columns, _schedule(cfg)), start=1):
-        if len(col) != width:
-            raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
-        for x in col:
-            if x < 0:
-                raise InvariantError(f"column {idx} holds negative element {x}")
-            if x in seen:
-                raise InvariantError(f"element {x} appears more than once (column {idx})")
-            seen.add(x)
-        if require_sums:
-            got = sum(col)
-            if got != want:
-                raise InvariantError(f"column {idx} sums to {got}, schedule wants {want}")
-    return seen
+    return check_prefixes(cfg, [columns], require_sums)[0]
 
 
 def check_prefixes(
-    cfg: ModulusConfig, prefixes: Sequence[Sequence[Sequence[int]]]
-) -> list[frozenset[int]]:
-    """check_columns on every prefix of a batch of equal length; the element set of each.
+    cfg: ModulusConfig, prefixes: Sequence[Sequence[Sequence[int]]], require_sums: bool = True
+) -> list[set[int]]:
+    """Check a batch of equal-length column prefixes; the element set of each.
 
-    One bulk pass checks every prefix at once: lengths, column widths, one
-    element set per prefix of the full size, its minimum, and every column
-    sum against the schedule.  Only when it fails does check_columns run on
-    each prefix in turn, so the first malformed prefix raises its own
-    InvariantError; a batch of well-formed prefixes that differ in length
-    raises ValueError.
+    Raises InvariantError on the first prefix's first column with the wrong
+    width, a negative element or an element used before, or, unless
+    require_sums is false, a sum off the schedule.  One bulk pass checks
+    every prefix at once: lengths, column widths, one element set per prefix
+    of the full size, its minimum, and every column sum against the
+    schedule.  Only when it fails does the column-by-column loop run, to
+    name the first fault; a batch of well-formed prefixes that differ in
+    length raises ValueError.
     """
-    used = list(map(frozenset, map(chain.from_iterable, prefixes)))
+    used = list(map(set, map(chain.from_iterable, prefixes)))
     start = len(prefixes[0]) if prefixes else 0
+    width = cfg.set_count
     if (
         {start}.issuperset(map(len, prefixes))
-        and {cfg.set_count}.issuperset(map(len, chain.from_iterable(prefixes)))
-        and {cfg.set_count * start}.issuperset(map(len, used))
+        and {width}.issuperset(map(len, chain.from_iterable(prefixes)))
+        and {width * start}.issuperset(map(len, used))
         and (not start or min(map(min, used)) >= 0)
-        and all(
+        and (not require_sums or all(
             map(eq, map(sum, chain.from_iterable(prefixes)), cycle(islice(_schedule(cfg), start)))
-        )
+        ))
     ):
         return used
     for columns in prefixes:
-        check_columns(cfg, columns)
+        seen = set()
+        for idx, (col, want) in enumerate(zip(columns, _schedule(cfg)), start=1):
+            if len(col) != width:
+                raise InvariantError(f"column {idx} has {len(col)} entries, expected {width}")
+            for x in col:
+                if x < 0:
+                    raise InvariantError(f"column {idx} holds negative element {x}")
+                if x in seen:
+                    raise InvariantError(f"element {x} appears more than once (column {idx})")
+                seen.add(x)
+            if require_sums:
+                got = sum(col)
+                if got != want:
+                    raise InvariantError(f"column {idx} sums to {got}, schedule wants {want}")
     # every prefix is well formed, so the bulk pass failed on the lengths
     raise ValueError("lockstep extension needs prefixes of equal length")
 

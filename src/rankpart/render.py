@@ -32,7 +32,7 @@ def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
         doc = {
             "m": p.cfg.m,
             "columns_shown": shown,
-            "sets": [list(p.set_elements(i)[:shown]) for i in range(1, p.cfg.set_count + 1)],
+            "sets": [[col[i] for col in p.columns[:shown]] for i in range(p.cfg.set_count)],
         }
         return json.dumps(doc, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

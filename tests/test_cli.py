@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,27 @@ def test_census_both_protocols(capsys):
     assert len(docs) == 2
     assert {d["protocol"] for d in docs} == {
         "exclude-standard", "include-standard"}
+
+
+def test_census_into_a_closed_pipe_ends_quietly():
+    """`rankpart census --m 13 --horizon 64 | head -1`: exit 1, nothing on stderr.
+
+    The 2.7 MB report fills the pipe, so the census is still writing when
+    the reader closes it after one line.
+    """
+    with subprocess.Popen(
+        [sys.executable, "-m", "rankpart.cli", "census", "--m", "13", "--horizon", "64"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_census_budget_exhaustion(capsys, monkeypatch):

@@ -101,38 +101,37 @@ def test_eleven_set_census_matches_reference(groups_by_m):
         assert engine_fields(incl) == reference_fields(groups_by_m[11], horizon, incl.protocol)
 
 
-class ConstantHashKey(tuple):
-    """A merge key that compares exactly but hashes every state alike."""
-
-    def __hash__(self):
-        return 0
-
-
 def test_constant_hash_leaves_every_merge_to_the_exact_comparison(monkeypatch):
-    """Every merge key comes from _state_key, so the patched key decides every merge.
+    """With one hash for every D+ and D-, equality alone decides each merge.
 
-    The call count shows the patch took effect: each builder's state is
-    keyed at least once, at the prefix rank.
+    The engine keys its merge index by (D+, D-), and it makes both sets with
+    greedy.frozenset, patched here; the count of sets made shows the patch
+    took effect: each builder makes its D+ and D- at least once, at the
+    prefix rank.
     """
     cases = [(m, h) for m in (5, 7) for h in (8, 12, 16, 64, 256)]
     honest = {case: rp.run_census_both(*case) for case in cases}
     heads36 = rp.enumerate_heads(rp.ModulusConfig(5))
     honest_std = rp.standard_equivalent_heads(heads36, 256)
-    calls = []
+    made = []
 
-    def constant_key(dplus, dminus):
-        calls.append(None)
-        return ConstantHashKey((dplus, dminus))
+    class ConstantHashSet(frozenset):
+        def __new__(cls, *args):
+            made.append(None)
+            return super().__new__(cls, *args)
 
-    monkeypatch.setattr(greedy, "_state_key", constant_key)
+        def __hash__(self):
+            return 0
+
+    monkeypatch.setattr(greedy, "frozenset", ConstantHashSet, raising=False)
     for case in cases:
-        calls.clear()
+        made.clear()
         assert rp.run_census_both(*case) == honest[case], case
         builders = honest[case][0].dedup_groups + 1  # the groups and the standard head
-        assert len(calls) >= builders, case
-    calls.clear()
+        assert len(made) >= 2 * builders, case
+    made.clear()
     assert rp.standard_equivalent_heads(heads36, 256) == honest_std == {1, 8, 15, 19, 26}
-    assert len(calls) >= len(rp.dedup_heads(heads36)) + 1
+    assert len(made) >= 2 * (len(rp.dedup_heads(heads36)) + 1)
 
 
 def test_standard_head_joins_the_standard_union_at_rank_five():

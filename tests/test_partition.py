@@ -275,9 +275,12 @@ def test_bulk_scans_agree_with_element_scans(fault, as_generator, m, horizon, da
 
 @pytest.mark.parametrize("fault", SCAN_FAULTS)
 @settings(max_examples=30, deadline=None)
-@given(m=st.sampled_from((5, 7)), length=st.integers(2, 12), data=st.data())
-def test_prefix_batch_check_agrees_with_one_scan_per_prefix(fault, m, length, data):
-    """check_prefixes: the first faulty prefix's error, else ValueError if ragged, else the sets."""
+@given(m=st.sampled_from((5, 7)), length=st.integers(2, 12), require_sums=st.booleans(), data=st.data())
+def test_prefix_batch_check_agrees_with_one_scan_per_prefix(fault, m, length, require_sums, data):
+    """check_prefixes: the first faulty prefix's error, else ValueError if ragged, else the sets.
+
+    check_columns is check_prefixes on a batch of one.
+    """
     cfg = rp.ModulusConfig(m)
     count = data.draw(st.integers(1, 4), label="prefixes")
     batch = [rp.standard_partition(cfg, length).columns] * count
@@ -288,13 +291,14 @@ def test_prefix_batch_check_agrees_with_one_scan_per_prefix(fault, m, length, da
         batch[short] = batch[short][:-1]
     want = None
     for cols in batch:
-        outcome = _outcome(lambda: frozenset(check_columns_scan(m, cols)))
-        if outcome[0] != "ok":
+        outcome = _outcome(lambda: check_columns_scan(m, cols, require_sums))
+        assert _outcome(lambda: check_columns(cfg, cols, require_sums)) == outcome
+        assert _outcome(lambda: check_prefixes(cfg, [cols], require_sums)[0]) == outcome
+        if want is None and outcome[0] != "ok":
             want = outcome
-            break
     if want is None:
         if len({len(cols) for cols in batch}) > 1:
             want = (ValueError, "lockstep extension needs prefixes of equal length")
         else:
-            want = ("ok", [frozenset(check_columns_scan(m, cols)) for cols in batch])
-    assert _outcome(lambda: check_prefixes(cfg, batch)) == want
+            want = ("ok", [check_columns_scan(m, cols, require_sums) for cols in batch])
+    assert _outcome(lambda: check_prefixes(cfg, batch, require_sums)) == want
