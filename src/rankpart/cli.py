@@ -10,25 +10,29 @@ parse error, 3 enumeration budget exhausted.  A reader that closes stdout
 early, as in `rankpart census | head -1`, cuts the output short: the run
 ends quietly with exit 1.  The RANKPART_NODE_BUDGET environment variable
 overrides the enumeration node cap.
+
+A call pays only for the subcommand it runs: when the first argument names
+one, `main` builds that sub-parser alone (anything else gets the full
+parser, so every message reads the same), and each cmd_* function imports
+what it runs.  Loading this module loads only config and errors; the
+package names it once imported, as `rankpart.cli.greedy_extend`, still
+resolve, from their defining modules.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .census import PROTOCOLS, run_census, run_census_both
-from .checks import INJECTIONS, run_verification, verification_passed
+from . import _MODULE_OF
 from .config import DEFAULT_COLUMNS_SHOWN, DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
-from .enumeration import Head, head_by_id
-from .equivalence import diff_vs_standard
 from .errors import HorizonError, InvariantError, ParseError, RankPartError, ResourceError
-from .greedy import greedy_extend
-from .headfile import parse_head_file
-from .partition import standard_partition
-from .render import census_pieces, render_checks, render_partition
-from .reshuffle import reshuffle_family_i, reshuffle_family_ii
+
+if TYPE_CHECKING:
+    from .enumeration import Head
 
 BUDGET_ENV = "RANKPART_NODE_BUDGET"
 
@@ -52,9 +56,11 @@ def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int
     The horizon must cover the head's columns.
     """
     if token.isascii() and token.isdigit():
+        from .enumeration import head_by_id
         cfg = ModulusConfig(m_flag if m_flag is not None else 5)
         head = head_by_id(cfg, int(token), node_budget=node_budget)
     else:
+        from .headfile import parse_head_file
         path = Path(token)
         if not path.exists():
             raise ValueError(f"head file not found: {token}")
@@ -70,6 +76,10 @@ def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .greedy import greedy_extend
+    from .partition import standard_partition
+    from .render import render_partition
+
     budget = _node_budget()
     head = None if args.head == "standard" else _resolve_head(args.head, args.m, budget, args.horizon)
     cfg = head.cfg if head else ModulusConfig(args.m if args.m is not None else 5)
@@ -79,6 +89,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .census import run_census, run_census_both
+    from .render import census_pieces
+
     budget = _node_budget()
     m = args.m if args.m is not None else 5
     if args.both_protocols:
@@ -90,6 +103,9 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import run_verification, verification_passed
+    from .render import render_checks
+
     results = run_verification(
         m=args.m if args.m is not None else 5,
         horizon=args.horizon,
@@ -101,6 +117,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .equivalence import diff_vs_standard
+    from .greedy import greedy_extend
+
     head = _resolve_head(args.head, args.m, _node_budget(), args.horizon)
     p = greedy_extend(head.cfg, head.columns, args.horizon)
     diffs = diff_vs_standard(p, args.horizon)
@@ -113,6 +132,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_reshuffle(args: argparse.Namespace) -> int:
+    from .partition import standard_partition
+    from .render import render_partition
+    from .reshuffle import reshuffle_family_i, reshuffle_family_ii
+
     std = standard_partition(ModulusConfig(args.m if args.m is not None else 5), args.horizon)
     family = reshuffle_family_i if args.family == "i" else reshuffle_family_ii
     try:
@@ -123,56 +146,63 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("generate", "census", "verify", "diff", "reshuffle")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `command` of that one alone.
+
+    The one-command parser names every subcommand in its usage line, so its
+    "unrecognized arguments" message reads as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="rankpart",
         description="Construct, enumerate, classify, and verify rank-sum partitions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add_common(p: argparse.ArgumentParser, horizon: int = DEFAULT_HORIZON) -> None:
+    def add(name: str, summary: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--m", type=int, default=None, help="odd modulus, default 5")
-        p.add_argument("--horizon", type=int, default=horizon, help="columns generated internally")
+        p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="columns generated internally")
+        p.set_defaults(func=func)
+        return p
 
-    g = sub.add_parser("generate", help="render a partition table")
-    add_common(g)
-    g.add_argument("--head", default="standard", help="'standard', a head id, or a head file path")
-    g.add_argument("--show", type=int, default=DEFAULT_COLUMNS_SHOWN, help="ranks to display")
-    g.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    g.set_defaults(func=cmd_generate)
-
-    c = sub.add_parser("census", help="enumeration and classification report")
-    add_common(c)
-    c.add_argument("--protocol", choices=PROTOCOLS, default="exclude-standard")
-    c.add_argument("--both-protocols", action="store_true", help="report under both dedup protocols")
-    c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.set_defaults(func=cmd_census)
-
-    v = sub.add_parser("verify", help="run consistency checks")
-    add_common(v)
-    v.add_argument("--inject", choices=INJECTIONS, default=None, help="deliberately corrupt the data first")
-    v.set_defaults(func=cmd_verify)
-
-    d = sub.add_parser("diff", help="columns differing from the standard partition")
-    add_common(d)
-    d.add_argument("--head", required=True, help="head id or head file path")
-    d.add_argument("--against", choices=("standard",), default="standard")
-    d.set_defaults(func=cmd_diff)
-
-    r = sub.add_parser("reshuffle", help="apply an exchange family to the standard partition")
-    add_common(r)
-    r.add_argument("--family", choices=("i", "ii"), required=True)
-    r.add_argument("--kmax", type=int, required=True, help="number of exchange steps")
-    r.add_argument("--show", type=int, default=DEFAULT_COLUMNS_SHOWN, help="ranks to display")
-    r.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    r.set_defaults(func=cmd_reshuffle)
-
+    if command in (None, "generate"):
+        g = add("generate", "render a partition table", cmd_generate)
+        g.add_argument("--head", default="standard", help="'standard', a head id, or a head file path")
+        g.add_argument("--show", type=int, default=DEFAULT_COLUMNS_SHOWN, help="ranks to display")
+        g.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    if command in (None, "census"):
+        from .census import PROTOCOLS
+        c = add("census", "enumeration and classification report", cmd_census)
+        c.add_argument("--protocol", choices=PROTOCOLS, default="exclude-standard")
+        c.add_argument("--both-protocols", action="store_true", help="report under both dedup protocols")
+        c.add_argument("--format", choices=("json", "csv"), default="json")
+    if command in (None, "verify"):
+        from .checks import INJECTIONS
+        v = add("verify", "run consistency checks", cmd_verify)
+        v.add_argument("--inject", choices=INJECTIONS, default=None, help="deliberately corrupt the data first")
+    if command in (None, "diff"):
+        d = add("diff", "columns differing from the standard partition", cmd_diff)
+        d.add_argument("--head", required=True, help="head id or head file path")
+        d.add_argument("--against", choices=("standard",), default="standard")
+    if command in (None, "reshuffle"):
+        r = add("reshuffle", "apply an exchange family to the standard partition", cmd_reshuffle)
+        r.add_argument("--family", choices=("i", "ii"), required=True)
+        r.add_argument("--kmax", type=int, required=True, help="number of exchange steps")
+        r.add_argument("--show", type=int, default=DEFAULT_COLUMNS_SHOWN, help="ranks to display")
+        r.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
@@ -194,6 +224,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def __getattr__(name: str):
+    """A package export read through this module, such as `cli.greedy_extend`.
+
+    perfbench's self-test reads that name.  It comes from its defining
+    module at each read, so a replacement made there shows here too.
+    """
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 if __name__ == "__main__":

@@ -166,14 +166,14 @@ def check_prefixes(
     used = list(map(set, map(chain.from_iterable, prefixes)))
     start = len(prefixes[0]) if prefixes else 0
     width = cfg.set_count
+    # cycle keeps a copy of what it repeats, so only a batch of prefixes uses it
+    schedule = _schedule(cfg) if len(prefixes) == 1 else cycle(islice(_schedule(cfg), start))
     if (
         {start}.issuperset(map(len, prefixes))
         and {width}.issuperset(map(len, chain.from_iterable(prefixes)))
         and {width * start}.issuperset(map(len, used))
         and (not start or min(map(min, used)) >= 0)
-        and (not require_sums or all(
-            map(eq, map(sum, chain.from_iterable(prefixes)), cycle(islice(_schedule(cfg), start)))
-        ))
+        and (not require_sums or all(map(eq, map(sum, chain.from_iterable(prefixes)), schedule)))
     ):
         return used
     for columns in prefixes:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 from array import array
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
-from .census import CensusReport
-from .checks import CheckResult
-from .partition import Partition
+if TYPE_CHECKING:
+    from .census import CensusReport
+    from .checks import CheckResult
+    from .partition import Partition
 
 
 def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:

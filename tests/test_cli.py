@@ -316,3 +316,163 @@ def test_head_ids_resolve_through_the_stopping_search(capsys, monkeypatch):
     monkeypatch.setenv("RANKPART_NODE_BUDGET", "-1")
     code, _, err = run(capsys, "generate", "--m", "7", "--head", "1", "--horizon", "64")
     assert code == 2 and "RANKPART_NODE_BUDGET" in err
+
+
+# The argparse surface, recorded with COLUMNS=80 (argparse wraps help and
+# usage to the terminal width): help texts, usage errors and exit codes.
+TOP_USAGE = "usage: rankpart [-h] {generate,census,verify,diff,reshuffle} ...\n"
+SUB_USAGE = {
+    "generate": (
+        "usage: rankpart generate [-h] [--m M] [--horizon HORIZON] [--head HEAD]\n"
+        "                         [--show SHOW] [--format {text,csv,json}]\n"
+    ),
+    "census": (
+        "usage: rankpart census [-h] [--m M] [--horizon HORIZON]\n"
+        "                       [--protocol {exclude-standard,include-standard}]\n"
+        "                       [--both-protocols] [--format {json,csv}]\n"
+    ),
+    "verify": (
+        "usage: rankpart verify [-h] [--m M] [--horizon HORIZON]\n"
+        "                       [--inject {sum-schedule,swap}]\n"
+    ),
+    "diff": (
+        "usage: rankpart diff [-h] [--m M] [--horizon HORIZON] --head HEAD\n"
+        "                     [--against {standard}]\n"
+    ),
+    "reshuffle": (
+        "usage: rankpart reshuffle [-h] [--m M] [--horizon HORIZON] --family {i,ii}\n"
+        "                          --kmax KMAX [--show SHOW] [--format {text,csv,json}]\n"
+    ),
+}
+COMMON_OPTIONS = (
+    "\noptions:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --m M                 odd modulus, default 5\n"
+    "  --horizon HORIZON     columns generated internally\n"
+)
+HELP = {
+    None: TOP_USAGE + (
+        "\n"
+        "Construct, enumerate, classify, and verify rank-sum partitions.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {generate,census,verify,diff,reshuffle}\n"
+        "    generate            render a partition table\n"
+        "    census              enumeration and classification report\n"
+        "    verify              run consistency checks\n"
+        "    diff                columns differing from the standard partition\n"
+        "    reshuffle           apply an exchange family to the standard partition\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "generate": SUB_USAGE["generate"] + COMMON_OPTIONS + (
+        "  --head HEAD           'standard', a head id, or a head file path\n"
+        "  --show SHOW           ranks to display\n"
+        "  --format {text,csv,json}\n"
+    ),
+    "census": SUB_USAGE["census"] + COMMON_OPTIONS + (
+        "  --protocol {exclude-standard,include-standard}\n"
+        "  --both-protocols      report under both dedup protocols\n"
+        "  --format {json,csv}\n"
+    ),
+    "verify": SUB_USAGE["verify"] + COMMON_OPTIONS + (
+        "  --inject {sum-schedule,swap}\n"
+        "                        deliberately corrupt the data first\n"
+    ),
+    "diff": SUB_USAGE["diff"] + COMMON_OPTIONS + (
+        "  --head HEAD           head id or head file path\n"
+        "  --against {standard}\n"
+    ),
+    "reshuffle": SUB_USAGE["reshuffle"] + COMMON_OPTIONS + (
+        "  --family {i,ii}\n"
+        "  --kmax KMAX           number of exchange steps\n"
+        "  --show SHOW           ranks to display\n"
+        "  --format {text,csv,json}\n"
+    ),
+}
+CHOICES = "'generate', 'census', 'verify', 'diff', 'reshuffle'"
+# name -> (argv, stderr); every one exits 2 with nothing on stdout
+USAGE_ERRORS = {
+    "no-arguments": ((), TOP_USAGE + "rankpart: error: the following arguments are required: command\n"),
+    "unknown-command": (
+        ("frobnicate",),
+        TOP_USAGE + f"rankpart: error: argument command: invalid choice: 'frobnicate' (choose from {CHOICES})\n",
+    ),
+    "option-first": (
+        ("--m", "5", "census"),
+        TOP_USAGE + f"rankpart: error: argument command: invalid choice: '5' (choose from {CHOICES})\n",
+    ),
+    "unknown-option": (("generate", "--bogus"), TOP_USAGE + "rankpart: error: unrecognized arguments: --bogus\n"),
+    "trailing-token": (("verify", "extra"), TOP_USAGE + "rankpart: error: unrecognized arguments: extra\n"),
+    "diff-without-head": (
+        ("diff",),
+        SUB_USAGE["diff"] + "rankpart diff: error: the following arguments are required: --head\n",
+    ),
+    "reshuffle-without-kmax": (
+        ("reshuffle", "--family", "i"),
+        SUB_USAGE["reshuffle"] + "rankpart reshuffle: error: the following arguments are required: --kmax\n",
+    ),
+    "reshuffle-without-family": (
+        ("reshuffle", "--kmax", "2"),
+        SUB_USAGE["reshuffle"] + "rankpart reshuffle: error: the following arguments are required: --family\n",
+    ),
+    "bad-format": (
+        ("generate", "--format", "xml"),
+        SUB_USAGE["generate"]
+        + "rankpart generate: error: argument --format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')\n",
+    ),
+    "bad-family": (
+        ("reshuffle", "--family", "x", "--kmax", "1"),
+        SUB_USAGE["reshuffle"]
+        + "rankpart reshuffle: error: argument --family: invalid choice: 'x' (choose from 'i', 'ii')\n",
+    ),
+    "bad-protocol": (
+        ("census", "--protocol", "x"),
+        SUB_USAGE["census"] + "rankpart census: error: argument --protocol: invalid choice: 'x' "
+        "(choose from 'exclude-standard', 'include-standard')\n",
+    ),
+    "bad-injection": (
+        ("verify", "--inject", "x"),
+        SUB_USAGE["verify"]
+        + "rankpart verify: error: argument --inject: invalid choice: 'x' (choose from 'sum-schedule', 'swap')\n",
+    ),
+    "bad-int": (
+        ("census", "--m", "five"),
+        SUB_USAGE["census"] + "rankpart census: error: argument --m: invalid int value: 'five'\n",
+    ),
+    "missing-value": (
+        ("census", "--m"),
+        SUB_USAGE["census"] + "rankpart census: error: argument --m: expected one argument\n",
+    ),
+}
+
+
+@pytest.fixture
+def columns80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda c: c or "top")
+def test_help_texts(capsys, columns80, command):
+    argv = ("--help",) if command is None else (command, "--help")
+    assert run(capsys, *argv) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_errors(capsys, columns80, case):
+    argv, err = USAGE_ERRORS[case]
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_main_reads_sys_argv(capsys, columns80, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rankpart", "generate", "--horizon", "8", "--show", "3"])
+    assert (main(), *capsys.readouterr()) == (0, "1 2 0\n3 4 5\n6 7 10\n", "")
+    monkeypatch.setattr(sys, "argv", ["rankpart", "generate", "--format", "xml"])
+    assert main() == 2
+    assert capsys.readouterr().err == USAGE_ERRORS["bad-format"][1]
+    monkeypatch.setattr(sys, "argv", ["rankpart"])
+    assert main() == 2
+    assert capsys.readouterr().err == USAGE_ERRORS["no-arguments"][1]
+    monkeypatch.setattr(sys, "argv", ["rankpart", "diff", "--help"])
+    assert (main(), *capsys.readouterr()) == (0, HELP["diff"], "")

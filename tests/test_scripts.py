@@ -72,3 +72,12 @@ def test_deviation_survey_into_a_closed_pipe_ends_quietly(unbuffered):
 def test_run_census_reports_the_class_count():
     (doc,) = json.loads(run_script("run_census.py", "--m", "5", "--horizon", "64"))
     assert (doc["m"], doc["horizon"], doc["classes"]) == (5, 64, 8)
+
+
+def test_startup_prints_one_line_per_subcommand():
+    docs = [json.loads(line) for line in run_script("startup.py", "--runs", "1").splitlines()]
+    assert [d["command"] for d in docs] == ["generate", "census", "verify", "diff", "reshuffle"]
+    assert all(d["runs"] == 1 and 0 < d["min_ms"] <= d["median_ms"] for d in docs)
+    loaded = {d["command"]: set(d["modules"]) for d in docs}
+    assert "rankpart.checks" in loaded["verify"] and "rankpart.census" in loaded["census"]
+    assert not loaded["generate"] & {"rankpart.census", "rankpart.checks", "rankpart.reshuffle"}
