@@ -4,36 +4,36 @@ Each check builds the data it needs and reports pass/fail with a detail
 string.  Every scan over the horizon is a bulk pass of C builtins (`map`
 over sums, residues or pair sums, compared with the schedule or an
 arithmetic sequence); only when a pass fails does a per-rank loop run, to
-name the first violation in the detail.  The signature check takes the deviation maps of
-all m=5 representatives' extensions from one lockstep run
-(greedy._extension_maps), which extends each of the eight classes once, and
-reads each signature's expected columns once.  The reshuffle check builds
-both m=5 exchange families by slice assignment from the battery's own
-standard partition, once the prefix-completeness and sum-schedule checks
-have passed it, and checks each output as an exchange of that validated
-partition: only the columns that are not the standard tuples, picked out in
-one bulk pass, are compared for width, sum and element set, which is all
-that `Partition.validate` could still find wrong.  An output that fails that
-test, and every output under an injection (no validated base), runs the
-full `validate()`, whose message the check reports.  The suite doubles as a
-fault-injection target: the caller can request a deliberate corruption (a
-column sum knocked off the schedule, or two elements swapped across slots)
-and confirm the failure is caught and named.
+name the first violation in the detail.  The signature and greedy checks
+compare deviation maps; the signature check extends the eight m=5 classes in
+one lockstep run (greedy.lockstep_extensions).  The reshuffle check builds
+both m=5 exchange families from the battery's own standard partition, once
+the prefix-completeness and sum-schedule checks have passed it, and checks
+each output as an exchange of that validated partition: only the ranks in
+either deviation map are compared for width, sum and element set, which is
+all that `Partition.validate` could still find wrong.  An output that fails
+that test, and every output under an injection (no validated base), runs
+the full `validate()`, whose message the check reports.  The suite doubles
+as a fault-injection target: the caller can request a deliberate corruption
+(a column sum knocked off the schedule, or two elements swapped across
+slots) and confirm the failure is caught and named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import add, eq, is_not, itemgetter, mod
+from itertools import chain, repeat
+from operator import add, eq, itemgetter, mod
 
 from .census import run_census
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
 from .enumeration import head_groups
 from .equivalence import SIGNATURES, _expected_columns, _witness
 from .errors import InvariantError, RankPartError
-from .greedy import _extension_maps, greedy_extend
-from .partition import Partition, _schedule, broken_ranks, residue_set_index, standard_partition, sum_schedule
+from .greedy import greedy_extend, lockstep_extensions
+from .partition import (
+    Partition, _schedule, broken_ranks, residue_set_index, standard_columns, standard_partition, sum_schedule
+)
 from .reshuffle import SwapSpec, reshuffle_family_i, reshuffle_family_ii, swap_pair
 
 # class tallies confirmed by full runs at horizons 64 and 4096
@@ -57,7 +57,7 @@ def _inject(p: Partition, inject: str | None) -> Partition:
         cols = list(p.columns)
         col = cols[6]
         cols[6] = col[:-1] + (col[-1] + 1,)
-        return Partition(p.cfg, tuple(cols))
+        return Partition.from_columns(p.cfg, cols)
     if inject == "swap":
         # one-sided exchange across ranks; breaks two column sums
         q, _ = swap_pair(p, SwapSpec((2, 4), (1, 5)))
@@ -124,13 +124,12 @@ def _check_completeness(p: Partition) -> CheckResult:
 
 def _check_greedy(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult:
     try:
-        regenerated = greedy_extend(cfg, p.columns[:5], horizon)
+        regenerated = greedy_extend(cfg, list(map(p.column, range(1, 6))), horizon)
     except RankPartError as e:
         return CheckResult("greedy-reproduction", False, str(e))
-    if regenerated.columns != p.columns[:horizon]:
-        first_bad = next(
-            n for n in range(1, horizon + 1) if regenerated.columns[n - 1] != p.columns[n - 1]
-        )
+    got, want = regenerated.deviations, {n: col for n, col in p.deviations.items() if n <= horizon}
+    if got != want:
+        first_bad = min(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
         return CheckResult("greedy-reproduction", False, f"extension deviates at rank {first_bad}")
     return CheckResult("greedy-reproduction", True, "greedy extension of the first five columns reproduces the rest")
 
@@ -140,8 +139,8 @@ def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
     reps = [g.representative for g in groups if not g.is_standard]
     expected = {class_id: _expected_columns(sig, horizon) for class_id, sig in sorted(SIGNATURES.items())}
     tally: dict[int, int] = {}
-    for rep, devs in zip(reps, _extension_maps(cfg, [rep.columns for rep in reps], horizon)):
-        ids = [class_id for class_id, cols in expected.items() if _witness(cfg, devs, cols, horizon) is not None]
+    for rep, ext in zip(reps, lockstep_extensions(cfg, [rep.columns for rep in reps], horizon)):
+        ids = [class_id for class_id, cols in expected.items() if _witness(cfg, ext.deviations, cols, horizon) is not None]
         if len(ids) != 1:
             return CheckResult(
                 "signatures", False, f"head {rep.choice_id} matches signatures {ids}, expected exactly one"
@@ -156,17 +155,21 @@ def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
 def _is_exchange_of(q: Partition, std: Partition) -> bool:
     """True when q.validate() must pass because q only moves std's elements between slots.
 
-    std must already be validated in full.  The columns where q holds a
-    different tuple object than std are picked out in one bulk pass; q is an
-    exchange of std when, in those columns only, every column keeps its width
-    and its sum, the elements are exactly std's elements there, and the last
-    column, which bounds the gap test, is untouched.  Then q has std's
-    elements, widths and sums, so every invariant of validate() carries over.
+    std must already be validated in full.  Every column where the two
+    differ is at a rank in one of their deviation maps; q is an exchange of
+    std when, at those ranks only, every column keeps its width and its sum,
+    the elements are exactly std's elements there, and the last column,
+    which bounds the gap test, is untouched.  (A rank where both hold the
+    same column adds the same to both sides.)  Then q has std's elements,
+    widths and sums, so every invariant of validate() carries over.
     """
-    if q.cfg != std.cfg or q.horizon != std.horizon or q.columns[-1] is not std.columns[-1]:
+    mine, theirs = q.deviations, std.deviations
+    if q.cfg != std.cfg or q.horizon != std.horizon or mine.get(q.horizon) != theirs.get(q.horizon):
         return False
-    changed = list(map(is_not, q.columns, std.columns))
-    got, want = list(compress(q.columns, changed)), list(compress(std.columns, changed))
+    std_cols = standard_columns(q.cfg, q.horizon)
+    ranks = mine.keys() | theirs.keys()
+    got = [mine.get(n, std_cols[n - 1]) for n in ranks]
+    want = [theirs.get(n, std_cols[n - 1]) for n in ranks]
     # full widths mean as many elements as std's distinct ones there, so set equality leaves no repeat
     return (
         {std.cfg.set_count}.issuperset(map(len, got))

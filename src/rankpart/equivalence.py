@@ -5,8 +5,8 @@ finite rank N and the first N columns hold the same elements as multisets.
 At a finite horizon H the decision is necessarily bounded: we locate the last
 differing rank, require it to fall in the first half of the horizon (tail
 agreement over a mere suffix proves nothing), and compare the prefix
-multisets.  `equivalent_up_to` and `classify` decide it for stored
-partitions from their deviation maps alone (`_tail_key`); the census
+multisets.  `equivalent_up_to` and `classify` decide it from the partitions'
+deviation maps, which is all a partition holds (`_tail_key`); the census
 decides the same equivalence in one lockstep run (census._group_classes).
 
 For m=5 the twenty deduplicated head extensions collapse into eight classes,

@@ -30,12 +30,11 @@ At each event rank the builders due there step; up to H/2 they are then
 merged on (D+, D-), and only the survivors look up their next event.  The
 engine records just the columns it fills; a prefix's own columns stay with
 the caller.  `lockstep_classes` sorts the extensions into equivalence
-classes, `_extension_maps` returns the map of deviating columns of every
-extension, prefix ranks first, `lockstep_extensions` builds from each map
-the standard columns with the deviating ones overridden, handing the map
-over as the partition's deviation map, and `greedy_extend` runs the same
-engine on one prefix.  The dense builder it is tested against, one rank at
-a time over an explicit used set, lives in tests/oracles.py.
+classes, `lockstep_extensions` returns every extension as a sparse
+`Partition` whose deviation map is the prefix's deviating columns followed
+by the ones its builder filled, and `greedy_extend` runs the same engine on
+one prefix.  The dense builder it is tested against, one rank at a time
+over an explicit used set, lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ from .partition import (
     Partition,
     check_columns,
     check_prefixes,
-    deviation_map,
     standard_columns,
     sum_schedule,
 )
@@ -247,14 +245,6 @@ def _run_lockstep(
     return parent, [None if errors[r] is not None else r for r in roots], held, filled, errors
 
 
-def _materialise(cfg: ModulusConfig, horizon: int, deviations: dict[int, Column]) -> Partition:
-    """The partition whose columns are standard except at the deviating ranks, carrying that map."""
-    columns = list(standard_columns(cfg, horizon))
-    for rank, col in deviations.items():
-        columns[rank - 1] = col
-    return Partition(cfg, tuple(columns), deviations)
-
-
 def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon: int) -> Partition:
     """Extend a sum-conforming prefix to the given horizon.
 
@@ -281,11 +271,11 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
     cols = [tuple(col) for col in columns]
     if horizon <= len(cols):
         check_columns(cfg, cols)
-        return Partition(cfg, tuple(cols))
+        return Partition.from_columns(cfg, cols)
     _, _, _, (filled,), (error,) = _run_lockstep(cfg, [cols], horizon)
     if error is not None:
         raise error
-    return _materialise(cfg, horizon, deviation_map(cfg, cols) | filled)
+    return Partition(cfg, horizon, Partition.from_columns(cfg, cols).deviations | filled)
 
 
 def lockstep_classes(
@@ -313,32 +303,6 @@ def lockstep_classes(
     return _run_lockstep(cfg, prefixes, horizon)[1]
 
 
-def _extension_maps(
-    cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
-) -> list[dict[int, Column] | None]:
-    """The deviation map of every prefix's greedy extension, from one lockstep run.
-
-    Entry i maps each rank whose column in greedy_extend(cfg, prefixes[i],
-    horizon) is not the standard column to that column, in rank order, or
-    is None where that extension raises CollisionError or NegativeError.
-    A merged prefix's map is its own deviations up to the rank where its
-    used set met an earlier builder's, then that builder's, since greedy
-    extension from equal used sets is the same.
-    """
-    prefixes = [tuple(map(tuple, cols)) for cols in prefixes]
-    parent, roots, held, filled, _ = _run_lockstep(cfg, prefixes, horizon)
-    full: list[dict[int, Column] | None] = []
-    for i, (cols, j, root) in enumerate(zip(prefixes, parent, roots)):
-        if root is None:
-            full.append(None)
-            continue
-        devs = deviation_map(cfg, cols) | filled[i]  # prefix ranks come first: rank order
-        if j != i:
-            devs |= {rank: col for rank, col in full[j].items() if rank > held[i]}
-        full.append(devs)  # own ranks are <= held[i]: still rank order
-    return full
-
-
 def lockstep_extensions(
     cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
 ) -> list[Partition | None]:
@@ -346,15 +310,23 @@ def lockstep_extensions(
 
     Entry i equals greedy_extend(cfg, prefixes[i], horizon), or is None where
     that raises CollisionError or NegativeError.  Only the class roots reach
-    the horizon.  The run keeps only each builder's deviating columns
-    (_extension_maps); full columns are built at the end over the shared
-    standard columns, and each partition carries its deviating columns as
-    its deviation map.  Raises as lockstep_classes does.
+    the horizon.  A merged prefix's deviation map is its own deviations up
+    to the rank where its used set met an earlier builder's, then that
+    builder's, since greedy extension from equal used sets is the same.
+    Raises as lockstep_classes does.
     """
-    return [
-        None if devs is None else _materialise(cfg, horizon, devs)
-        for devs in _extension_maps(cfg, prefixes, horizon)
-    ]
+    prefixes = [tuple(map(tuple, cols)) for cols in prefixes]
+    parent, roots, held, filled, _ = _run_lockstep(cfg, prefixes, horizon)
+    out: list[Partition | None] = []
+    for i, (cols, j, root) in enumerate(zip(prefixes, parent, roots)):
+        if root is None:
+            out.append(None)
+            continue
+        devs = Partition.from_columns(cfg, cols).deviations | filled[i]  # prefix ranks come first: rank order
+        if j != i:
+            devs |= {rank: col for rank, col in out[j].deviations.items() if rank > held[i]}
+        out.append(Partition(cfg, horizon, devs))  # own ranks are <= held[i]: still rank order
+    return out
 
 
 def complete_head(

@@ -16,6 +16,11 @@ m(n-1) into the last.  Membership in that arrangement is a residue test:
 sequence i < t+1 holds the numbers congruent to i or t+i mod m, and the last
 sequence holds the multiples of m.  We call it the standard partition.
 
+A partition is its horizon and its deviation map, rank -> column wherever it
+is not the standard column; `column(n)` and `columns` are read on demand, so
+only the readers that scan every column (validation, the verification
+battery, the reshuffle families) pay O(H), and a horizon of 10**18 is cheap.
+
 The invariants of a column prefix also live here, once each, and every other
 module calls them: `check_prefixes` checks width, non-negative and distinct
 elements and the schedule sums of a batch of equal-length prefixes at once
@@ -26,19 +31,13 @@ them.  Each scan, and the gap test of `Partition.validate`, is a bulk pass
 of C builtins over all the columns (one set of every element, `map(sum,
 ...)` against the schedule); only when that pass fails does a per-element
 loop run, to name the first violation.
-
-A partition also carries its deviation map: rank -> column wherever it is
-not standard.  The greedy engine hands over the map it keeps; any other
-partition scans its columns once, on first read.  Equivalence
-(`classify`, `equivalent_up_to`), `signature_witness` and `diff_vs_standard`
-read only the map; the stored `columns` stay dense.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, chain, count, cycle, islice
 from operator import eq
 
 from .config import ModulusConfig
@@ -67,7 +66,7 @@ def standard_column(cfg: ModulusConfig, n: int) -> Column:
         raise ValueError(f"rank must be >= 1, got {n}")
     t = cfg.t
     base = (t + 1) * (n - 1) - n // 2
-    return tuple(base + i for i in range(1, t + 1)) + (cfg.m * (n - 1),)
+    return (*range(base + 1, base + t + 1), cfg.m * (n - 1))
 
 
 def residue_set_index(cfg: ModulusConfig, x: int) -> int:
@@ -86,33 +85,44 @@ def residue_set_index(cfg: ModulusConfig, x: int) -> int:
 class Partition:
     """A column-complete prefix of a partition of the non-negative integers.
 
-    columns[n-1] is the rank-n column; entry i-1 of a column belongs to set i.
-    The object is immutable; construction does not validate, call
-    :meth:`validate` to check the invariants explicitly.  A builder that
-    already knows the deviation map passes it as the third argument; it is
-    trusted as given and left out of equality, hashing and repr.
+    The partition has `horizon` columns; the rank-n column, entry i-1 of
+    which belongs to set i, is deviations[n] where the map holds n and the
+    standard column otherwise.  The map lists its ranks in ascending order
+    and never holds a standard column, so equal maps are equal columns; it
+    is left out of the hash.  Build a partition from its columns with
+    :meth:`from_columns`.  The object is immutable (do not mutate the map);
+    construction does not validate, call :meth:`validate` to check the
+    invariants explicitly.
     """
 
     cfg: ModulusConfig
-    columns: tuple[Column, ...]
-    _deviations: dict[int, Column] | None = field(default=None, compare=False, repr=False)
+    horizon: int
+    deviations: dict[int, Column] = field(hash=False)
+
+    @classmethod
+    def from_columns(cls, cfg: ModulusConfig, columns: Iterable[Sequence[int]]) -> Partition:
+        """The partition with these columns, its map scanned from them against the standard ones."""
+        cols = tuple(map(tuple, columns))
+        std = standard_columns(cfg, len(cols))
+        return cls(cfg, len(cols), {n: col for n, col, want in zip(count(1), cols, std) if col != want})
 
     @property
-    def horizon(self) -> int:
-        return len(self.columns)
-
-    @property
-    def deviations(self) -> dict[int, Column]:
-        """Rank -> column at every stored non-standard rank, in rank order; cached, do not mutate."""
-        if self._deviations is None:
-            object.__setattr__(self, "_deviations", deviation_map(self.cfg, self.columns))
-        return self._deviations
+    def columns(self) -> tuple[Column, ...]:
+        """Every column, rank 1 first: the cached standard columns with the map written over them."""
+        std = standard_columns(self.cfg, self.horizon)
+        if not self.deviations:
+            return std
+        cols = list(std)
+        for n, col in self.deviations.items():
+            cols[n - 1] = col
+        return tuple(cols)
 
     def column(self, n: int) -> Column:
         """The rank-n column, 1-based."""
-        if not 1 <= n <= len(self.columns):
-            raise HorizonError(f"rank {n} outside stored range 1..{len(self.columns)}")
-        return self.columns[n - 1]
+        if not 1 <= n <= self.horizon:
+            raise HorizonError(f"rank {n} outside stored range 1..{self.horizon}")
+        col = self.deviations.get(n)
+        return standard_column(self.cfg, n) if col is None else col
 
     def set_elements(self, i: int) -> tuple[int, ...]:
         """All stored elements of set i (1-based), in rank order."""
@@ -132,9 +142,10 @@ class Partition:
         optional because swap operations legitimately pass through
         sum-broken intermediate states.
         """
-        seen = check_columns(self.cfg, self.columns, require_sums)
-        if self.columns:
-            bound = min(self.columns[-1])
+        cols = self.columns
+        seen = check_columns(self.cfg, cols, require_sums)
+        if cols:
+            bound = min(cols[-1])
             if not seen.issuperset(range(bound)):
                 missing = next(x for x in range(bound) if x not in seen)
                 raise InvariantError(f"prefix incomplete: {missing} missing below {bound}")
@@ -201,10 +212,11 @@ def broken_ranks(p: Partition, horizon: int | None = None) -> tuple[int, ...]:
         horizon = p.horizon
     elif horizon > p.horizon:
         raise HorizonError(f"horizon {horizon} exceeds stored {p.horizon} columns")
-    if all(map(eq, map(sum, islice(p.columns, max(horizon, 0))), _schedule(p.cfg))):
+    cols = p.columns
+    if all(map(eq, map(sum, islice(cols, max(horizon, 0))), _schedule(p.cfg))):
         return ()
     return tuple(
-        n for n, col, want in zip(range(1, horizon + 1), p.columns, _schedule(p.cfg))
+        n for n, col, want in zip(range(1, horizon + 1), cols, _schedule(p.cfg))
         if sum(col) != want
     )
 
@@ -217,14 +229,8 @@ def standard_columns(cfg: ModulusConfig, horizon: int) -> tuple[Column, ...]:
     return tuple(standard_column(cfg, n) for n in range(1, horizon + 1))
 
 
-def deviation_map(cfg: ModulusConfig, columns: Sequence[Column]) -> dict[int, Column]:
-    """Rank -> column at every rank whose column is not the standard one, in rank order."""
-    std = standard_columns(cfg, len(columns))
-    return {n: col for n, (col, want) in enumerate(zip(columns, std), 1) if col != want}
-
-
 def standard_partition(cfg: ModulusConfig, horizon: int) -> Partition:
     """The standard partition stored to the given number of columns."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return Partition(cfg, standard_columns(cfg, horizon))
+    return Partition(cfg, horizon, {})

@@ -22,19 +22,20 @@ def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
     """First `shown` ranks of a partition in the requested format."""
     if not 1 <= shown <= p.horizon:
         raise ValueError(f"columns shown must be within 1..{p.horizon}, got {shown}")
+    cols = list(map(p.column, range(1, shown + 1)))  # only the ranks shown, at any horizon
     if fmt == "text":
-        return "\n".join(" ".join(str(x) for x in col) for col in p.columns[:shown]) + "\n"
+        return "\n".join(" ".join(str(x) for x in col) for col in cols) + "\n"
     if fmt == "csv":
         lines = ["set,rank,value"]
         for i in range(1, p.cfg.set_count + 1):
             for n in range(1, shown + 1):
-                lines.append(f"{i},{n},{p.columns[n - 1][i - 1]}")
+                lines.append(f"{i},{n},{cols[n - 1][i - 1]}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         doc = {
             "m": p.cfg.m,
             "columns_shown": shown,
-            "sets": [[col[i] for col in p.columns[:shown]] for i in range(p.cfg.set_count)],
+            "sets": [[col[i] for col in cols] for i in range(p.cfg.set_count)],
         }
         return json.dumps(doc, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -13,18 +13,20 @@ families of such exchanges exist for the m=5 standard partition:
       sum to 30k + 17.
 
 The pair sums hold only at m=5, so both families refuse any other modulus.
-Each builds its output with two extended-slice assignments over the list of
-columns (the new tuples zipped from `itemgetter` maps over the old ones), not
-a loop per k; every column no exchange touches stays the input's own tuple,
-which lets the verification battery find the exchanged ranks by identity.
+Each reads the input's columns once and zips the new tuples from
+`itemgetter` maps over two extended slices of them, not a loop per k.  The
+output is the input's deviation map with the exchanged columns written over
+it, so the verification battery finds the exchanged ranks by comparing maps.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import HorizonError
-from .partition import Partition, broken_ranks
+from .partition import Column, Partition, broken_ranks, standard_columns
 
 _first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
 
@@ -49,6 +51,14 @@ def _check_slot(p: Partition, slot: tuple[int, int]) -> None:
         raise HorizonError(f"rank {n} outside stored range 1..{p.horizon}")
 
 
+def _written_over(p: Partition, columns: Iterable[tuple[int, Column]]) -> Partition:
+    """p with each (rank, column) written over its column; a standard column leaves the map."""
+    std = standard_columns(p.cfg, p.horizon)
+    devs = dict(p.deviations)
+    devs.update(columns)
+    return Partition(p.cfg, p.horizon, {n: devs[n] for n in sorted(devs) if devs[n] != std[n - 1]})
+
+
 def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]:
     """Exchange the elements of two slots.
 
@@ -58,13 +68,13 @@ def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]
     """
     _check_slot(p, spec.first)
     _check_slot(p, spec.second)
-    cols = list(p.columns)
     (i1, n1), (i2, n2) = spec.first, spec.second
-    x, y = cols[n1 - 1][i1 - 1], cols[n2 - 1][i2 - 1]
+    cols = {n1: p.column(n1), n2: p.column(n2)}
+    x, y = cols[n1][i1 - 1], cols[n2][i2 - 1]
     for i, n, v in ((i1, n1, y), (i2, n2, x)):  # in turn, so one column may hold both slots
-        col = cols[n - 1]
-        cols[n - 1] = (*col[:i - 1], v, *col[i:])
-    q = Partition(p.cfg, tuple(cols))
+        col = cols[n]
+        cols[n] = (*col[:i - 1], v, *col[i:])
+    q = _written_over(p, cols.items())
     return q, broken_ranks(q)
 
 
@@ -83,12 +93,13 @@ def reshuffle_family_i(p: Partition, k_max: int) -> Partition:
     _check_family(p, k_max)
     if p.horizon < 6 * k_max:
         raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max}")
-    cols = list(p.columns)
+    cols = p.columns
     # ranks 4k are even and 6k-1 odd, so the two slices never share a column
     a, b = cols[3:4 * k_max:4], cols[4:6 * k_max:6]
-    cols[3:4 * k_max:4] = zip(map(_first, b), map(_second, a), map(_second, b))
-    cols[4:6 * k_max:6] = zip(map(_first, a), map(_third, a), map(_third, b))
-    return Partition(p.cfg, tuple(cols))
+    return _written_over(p, chain(
+        zip(range(4, 4 * k_max + 1, 4), zip(map(_first, b), map(_second, a), map(_second, b))),
+        zip(range(5, 6 * k_max, 6), zip(map(_first, a), map(_third, a), map(_third, b))),
+    ))
 
 
 def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
@@ -99,12 +110,13 @@ def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
     _check_family(p, k_max)
     if k_max and p.horizon < 6 * k_max + 4:
         raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max + 4}")
-    cols = list(p.columns)
+    cols = p.columns
     # ranks 4k+3 are odd and 6k+4 even, so the two slices never share a column
     a, b = cols[2:4 * k_max:4], cols[3:6 * k_max:6]
-    cols[2:4 * k_max:4] = zip(map(_first, a), map(_first, b), map(_second, b))
-    cols[3:6 * k_max:6] = zip(map(_second, a), map(_third, a), map(_third, b))
-    return Partition(p.cfg, tuple(cols))
+    return _written_over(p, chain(
+        zip(range(3, 4 * k_max, 4), zip(map(_first, a), map(_first, b), map(_second, b))),
+        zip(range(4, 6 * k_max, 6), zip(map(_second, a), map(_third, a), map(_third, b))),
+    ))
 
 
 def verify_sum_pattern(p: Partition, horizon: int) -> bool:

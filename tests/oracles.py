@@ -327,7 +327,7 @@ class PartitionBuilder:
             self.extend_one()
 
     def to_partition(self) -> rp.Partition:
-        return rp.Partition(self.cfg, tuple(self.columns))
+        return rp.Partition.from_columns(self.cfg, tuple(self.columns))
 
 
 def dense_lockstep(cfg, prefixes, horizon: int):

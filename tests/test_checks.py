@@ -5,6 +5,7 @@ import pytest
 
 import rankpart as rp
 import rankpart.checks as checks
+import rankpart.partition as partition
 from rankpart.checks import CheckResult, run_verification, verification_passed
 
 FAST_NAMES = {
@@ -56,13 +57,33 @@ def test_injected_swap_is_caught():
     assert "sum-schedule" in failed
 
 
+def test_verify_scans_every_standard_column(monkeypatch):
+    # the standard partition's deviation map is empty, so only a scan that
+    # reads each standard column can see one that is off the schedule
+    column = partition.standard_column
+
+    def off_at_100(cfg, n):
+        col = column(cfg, n)
+        return col[:-1] + (col[-1] + 1,) if n == 100 else col
+
+    partition.standard_columns.cache_clear()
+    monkeypatch.setattr(partition, "standard_column", off_at_100)
+    try:
+        schedule = by_name(run_verification(5, 256))["sum-schedule"]
+    finally:
+        monkeypatch.undo()
+        partition.standard_columns.cache_clear()
+    assert not schedule.passed
+    assert schedule.detail.startswith("column 100 sums to ")
+
+
 def test_reshuffle_check_names_a_broken_column_sum(monkeypatch):
     family_i = checks.reshuffle_family_i
 
     def broken(p, k_max):
         cols = list(family_i(p, k_max).columns)
         cols[40] = cols[40][:-1] + (cols[40][-1] + 5,)  # column 41 sums 5 too high
-        return rp.Partition(p.cfg, tuple(cols))
+        return rp.Partition.from_columns(p.cfg, tuple(cols))
 
     monkeypatch.setattr(checks, "reshuffle_family_i", broken)
     result = by_name(run_verification(5, 256))["reshuffle-identities"]
@@ -79,7 +100,7 @@ def test_residue_check_names_an_element_in_the_wrong_set(m, rank, order, detail)
     cfg = rp.ModulusConfig(m)
     cols = list(rp.standard_partition(cfg, 256).columns)
     cols[rank - 1] = tuple(cols[rank - 1][i] for i in order)
-    result = checks._check_residues(cfg, rp.Partition(cfg, tuple(cols)), 256)
+    result = checks._check_residues(cfg, rp.Partition.from_columns(cfg, tuple(cols)), 256)
     assert result == CheckResult("residue-membership", False, detail)
     assert checks._check_residues(cfg, rp.standard_partition(cfg, 256), 256).passed
 
@@ -118,7 +139,7 @@ def test_reshuffle_check_names_the_first_broken_pair(monkeypatch, slots, detail)
         cols = [list(col) for col in standard(cfg, horizon).columns]
         for i, n in slots:
             cols[n - 1][i - 1] += 1
-        return rp.Partition(cfg, tuple(map(tuple, cols)))
+        return rp.Partition.from_columns(cfg, tuple(map(tuple, cols)))
 
     monkeypatch.setattr(checks, "standard_partition", altered)
     result = checks._check_reshuffles(rp.ModulusConfig(5), 256)

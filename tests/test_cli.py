@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,44 @@ def test_head_ids_resolve_through_the_stopping_search(capsys, monkeypatch):
     monkeypatch.setenv("RANKPART_NODE_BUDGET", "-1")
     code, _, err = run(capsys, "generate", "--m", "7", "--head", "1", "--horizon", "64")
     assert code == 2 and "RANKPART_NODE_BUDGET" in err
+
+
+# a partition holds its deviations, not its columns, so `generate` and
+# `diff` answer at any horizon; the child's address space is capped, so a
+# reader that builds every column fails in seconds instead of filling memory
+HUGE = str(10**18)
+CHILD_MEMORY = 256 << 20
+
+
+def run_capped(*argv):
+    """stdout of `rankpart argv` in a child process with CHILD_MEMORY of address space; it must exit 0."""
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "rankpart.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+@pytest.mark.parametrize("head", ("8", "7"))
+def test_diff_at_any_horizon(capsys, head):
+    code, near, _ = run(capsys, "diff", "--head", head, "--horizon", "4096")
+    assert code == 0
+    far = run_capped("diff", "--head", head, "--horizon", HUGE).splitlines()
+    assert far[-1] == f"{len(far) - 1} differing ranks through {HUGE}"
+    assert [line for line in far[:-1] if int(line.split()[1][:-1]) <= 4096] == near.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+def test_generate_at_any_horizon(capsys, fmt):
+    argv = ("generate", "--head", "8", "--show", "46", "--format", fmt)
+    code, near, _ = run(capsys, *argv, "--horizon", "1024")
+    assert code == 0
+    assert run_capped(*argv, "--horizon", HUGE) == near
 
 
 # The argparse surface, recorded with COLUMNS=80 (argparse wraps help and

@@ -77,7 +77,7 @@ def test_prefix_multiset_must_match(std_deep):
     # same tail, same column sums would not even be needed: the prefix
     # multiset check alone must reject this crafted lookalike
     cols = ((7, 7, 7),) + std_deep.columns[1:]
-    fake = rp.Partition(M5, cols)
+    fake = rp.Partition.from_columns(M5, cols)
     assert rp.equivalent_up_to(fake, std_deep, DEEP) is None
 
 
@@ -272,7 +272,7 @@ def test_signature_witness_at_the_half_horizon_boundary():
         for rank, want in ((half, half), (half + 1, None)):
             cols = list(std.columns)
             cols[rank - 1] = cols[rank - 1][::-1]
-            p = rp.Partition(M5, tuple(cols))
+            p = rp.Partition.from_columns(M5, tuple(cols))
             assert rp.signature_witness(p, SIGNATURES[4], horizon) == want
             for sig in SIGNATURES.values():
                 assert rp.signature_witness(p, sig, horizon) == signature_witness_scan(
@@ -317,7 +317,7 @@ def partitions_from_columns(horizon: int) -> dict[str, rp.Partition]:
             out[f"swap at {name} ({rank})"] = rp.swap_pair(std, rp.SwapSpec((1, rank), (2, rank)))[0]
     # equal element sets, unequal multisets: only counts tell these two apart
     for first in ((7, 7, 8), (7, 8, 8)):
-        out[f"repeats {first}"] = rp.Partition(M5, (first,) + std.columns[1:])
+        out[f"repeats {first}"] = rp.Partition.from_columns(M5, (first,) + std.columns[1:])
     return out
 
 

@@ -45,7 +45,7 @@ def test_reshuffle_check_turns_away_what_is_no_exchange(monkeypatch, family, cha
         for rank, old, new in changes:
             assert cols[rank - 1] == old and sum(new) == sum(old)
             cols[rank - 1] = new
-        altered.append(rp.Partition(p.cfg, tuple(cols)))
+        altered.append(rp.Partition.from_columns(p.cfg, tuple(cols)))
         return altered[-1]
 
     monkeypatch.setattr(checks, name, alter)
@@ -104,7 +104,7 @@ def test_a_changed_last_column_goes_to_the_full_validation(monkeypatch):
     # bounds the gap test, so the exchange test leaves it to validate()
     def permuted(q):
         *cols, (x, y, z) = q.columns
-        return rp.Partition(q.cfg, (*cols, (y, x, z)))
+        return rp.Partition.from_columns(q.cfg, (*cols, (y, x, z)))
 
     outputs, calls = count_family_validations(monkeypatch, permuted)
     result = reshuffle_result()

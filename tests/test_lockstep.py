@@ -226,7 +226,7 @@ def test_empty_prefixes_and_the_empty_batch():
     assert rp.lockstep_classes(cfg, [], -1) == []
     assert rp.lockstep_extensions(cfg, [], 64) == []
     assert rp.lockstep_classes(cfg, [(), ()], 8) == [0, 0]
-    assert rp.greedy_extend(cfg, [], 0) == rp.Partition(cfg, ())
+    assert rp.greedy_extend(cfg, [], 0) == rp.Partition.from_columns(cfg, ())
     from_empty = rp.greedy_extend(cfg, [], 6)
     assert from_empty.columns == (
         (0, 1, 2), (3, 4, 5), (6, 7, 10), (8, 9, 15), (11, 12, 20), (13, 14, 25),
@@ -337,12 +337,11 @@ def test_extensions_carry_the_deviation_map_of_their_columns(m, groups_by_m):
     for ext in (*extensions, *singles):
         if ext is None:
             continue
-        assert ext._deviations is not None  # handed over by the engine, not scanned
-        scanned = rp.Partition(cfg, ext.columns)
+        scanned = rp.Partition.from_columns(cfg, ext.columns)
         assert ext.deviations == scanned.deviations
         assert list(ext.deviations.items()) == [(n, col) for n, _, col in diff_scan(m, ext.columns, 1024)]
         assert ext == scanned and hash(ext) == hash(scanned)
-        assert repr(ext) == repr(scanned) == f"Partition(cfg={cfg!r}, columns={ext.columns!r})"
+        assert repr(ext) == repr(scanned) == f"Partition(cfg={cfg!r}, horizon=1024, deviations={ext.deviations!r})"
 
 
 @settings(max_examples=40, deadline=None)

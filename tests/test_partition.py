@@ -1,6 +1,8 @@
 """Sum schedule, standard partition, and residue membership."""
 from __future__ import annotations
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,7 +151,7 @@ def test_validate_catches_corruption():
     def corrupt(rank, col):
         cols = list(base.columns)
         cols[rank - 1] = col
-        return rp.Partition(M5, tuple(cols))
+        return rp.Partition.from_columns(M5, tuple(cols))
 
     with pytest.raises(InvariantError):
         corrupt(3, (6, 6, 11)).validate()  # duplicate inside column
@@ -170,7 +172,7 @@ def test_validate_catches_corruption():
 def test_validate_can_skip_sums():
     cols = list(rp.standard_partition(M5, 4).columns)
     cols[2] = (6, 7, 11)
-    broken = rp.Partition(M5, tuple(cols))
+    broken = rp.Partition.from_columns(M5, tuple(cols))
     broken.validate(require_sums=False)
     with pytest.raises(InvariantError):
         broken.validate()
@@ -202,7 +204,7 @@ BAD_PREFIXES = {
     "sum": ((6, 7, 11), "schedule wants"),
 }
 ENTRY_POINTS = {
-    "Partition.validate": lambda cols: rp.Partition(M5, cols).validate(),
+    "Partition.validate": lambda cols: rp.Partition.from_columns(M5, cols).validate(),
     "Head.validate": lambda cols: rp.Head(M5, cols).validate(),
     "PartitionBuilder": lambda cols: PartitionBuilder(M5, cols),
 }
@@ -216,7 +218,7 @@ def test_every_entry_point_rejects_the_same_bad_columns(fault, entry):
     with pytest.raises(InvariantError, match=message):
         ENTRY_POINTS[entry](cols)
     if fault == "sum":
-        rp.Partition(M5, cols).validate(require_sums=False)
+        rp.Partition.from_columns(M5, cols).validate(require_sums=False)
 
 
 # one fault at one random slot of a standard partition; the bulk scans must
@@ -261,7 +263,13 @@ def _outcome(fn):
 def test_bulk_scans_agree_with_element_scans(fault, as_generator, m, horizon, data):
     cfg = rp.ModulusConfig(m)
     cols = _faulty_columns(cfg, horizon, fault, data)
-    p = rp.Partition(cfg, tuple(cols))
+    p = rp.Partition.from_columns(cfg, tuple(cols))
+    # the scanned map gives back the columns to every reader
+    assert p.horizon == horizon and p.columns == tuple(cols)
+    assert list(map(p.column, range(1, horizon + 1))) == cols
+    assert p.elements() == tuple(sorted(chain.from_iterable(cols)))
+    for i in range(1, cfg.set_count + 1):
+        assert _outcome(lambda: p.set_elements(i)) == _outcome(lambda: tuple(col[i - 1] for col in cols))
     for require_sums in (True, False):
         given_cols = (col for col in cols) if as_generator else tuple(cols)
         got = _outcome(lambda: check_columns(cfg, given_cols, require_sums))
@@ -302,3 +310,47 @@ def test_prefix_batch_check_agrees_with_one_scan_per_prefix(fault, m, length, re
         else:
             want = ("ok", [check_columns_scan(m, cols, require_sums) for cols in batch])
     assert _outcome(lambda: check_prefixes(cfg, batch, require_sums)) == want
+
+
+def assert_canonical(p):
+    """p's map is canonical, and p equals, and hashes as, the partition scanned from its columns."""
+    ranks = list(p.deviations)
+    assert ranks == sorted(ranks) and set(ranks) <= set(range(1, p.horizon + 1))
+    assert all(col != rp.standard_column(p.cfg, n) for n, col in p.deviations.items())
+    scanned = rp.Partition.from_columns(p.cfg, p.columns)
+    assert p == scanned and hash(p) == hash(scanned) and repr(p) == repr(scanned)
+
+
+@pytest.mark.parametrize("m", (5, 7))
+def test_every_builder_keeps_a_canonical_map(m):
+    cfg = rp.ModulusConfig(m)
+    horizon = 257
+    std = rp.standard_partition(cfg, horizon)
+    assert std.deviations == {}
+    with pytest.raises(TypeError):  # the columns-first constructor is gone; from_columns scans them
+        rp.Partition(cfg, std.columns)
+    cols = list(std.columns)
+    cols[2], cols[41] = cols[2][::-1], cols[41][:-1]  # no family exchanges rank 42
+    built = [std, rp.Partition.from_columns(cfg, cols), rp.Partition.from_columns(cfg, std.columns)]
+    prefixes = [h.columns for h in rp.enumerate_heads_general(cfg)]
+    for cols, ext in zip(prefixes, rp.lockstep_extensions(cfg, prefixes, horizon)):
+        try:
+            alone = rp.greedy_extend(cfg, cols, horizon)
+        except (rp.CollisionError, rp.NegativeError):
+            assert ext is None
+            continue
+        assert ext == alone and hash(ext) == hash(alone)
+        built += [ext, alone]
+    for p in built[::7]:
+        q, _ = rp.swap_pair(p, rp.SwapSpec((1, 3), (2, horizon)))
+        built += [q, rp.swap_pair(q, rp.SwapSpec((1, 3), (2, horizon)))[0]]
+        assert built[-1] == p
+    if m == 5:
+        for p in built[:8]:
+            for family, k_max in ((rp.reshuffle_family_i, horizon // 6), (rp.reshuffle_family_ii, 40)):
+                # each family is an involution: twice over gives back p, its standard columns leave the map
+                q = family(p, k_max)
+                built += [q, family(q, k_max)]
+                assert built[-1] == p
+    for p in built:
+        assert_canonical(p)
