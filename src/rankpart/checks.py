@@ -3,27 +3,28 @@
 Each check builds the data it needs and reports pass/fail with a detail
 string.  Every scan over the horizon is a bulk pass of C builtins (`map`
 over sums, residues or pair sums, compared with the schedule or an
-arithmetic sequence); only when a pass fails does a per-rank loop run, to
-name the first violation in the detail.  The signature and greedy checks
-compare deviation maps; the signature check extends the eight m=5 classes in
-one lockstep run (greedy.lockstep_extensions).  The reshuffle check builds
-both m=5 exchange families from the battery's own standard partition, once
-the prefix-completeness and sum-schedule checks have passed it, and checks
-each output as an exchange of that validated partition: only the ranks in
-either deviation map are compared for width, sum and element set, which is
-all that `Partition.validate` could still find wrong.  An output that fails
-that test, and every output under an injection (no validated base), runs
-the full `validate()`, whose message the check reports.  The suite doubles
-as a fault-injection target: the caller can request a deliberate corruption
-(a column sum knocked off the schedule, or two elements swapped across
-slots) and confirm the failure is caught and named.
+arithmetic sequence); a failed pass fails its check, and a per-rank loop
+runs only to name the first violation in the detail.  The signature and
+greedy checks compare deviation maps; the signature check extends the eight
+m=5 classes in one lockstep run (greedy.lockstep_extensions).  The reshuffle
+check reads each family's slices, set pairs and closed form from
+`reshuffle.FAMILIES` (its pass yields the first broken k) and applies the
+exchanges below the last column to the battery's standard partition; once
+prefix-completeness and sum-schedule have passed that partition, each output
+is checked as an exchange of it: only the ranks in either deviation map are
+compared for width, sum and element set, all that `validate` could still
+find wrong.  Any other output, and every one under an injection, runs the
+full `validate()`, whose message the check reports.  The suite doubles as a
+fault-injection target: the caller can request a deliberate corruption (a
+column sum knocked off the schedule, or two elements swapped across slots)
+and confirm the failure is caught and named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
-from operator import add, eq, itemgetter, mod
+from itertools import chain, compress, repeat
+from operator import add, eq, itemgetter, mod, ne
 
 from .census import run_census
 from .config import DEFAULT_HORIZON, DEFAULT_NODE_BUDGET, ModulusConfig
@@ -34,7 +35,7 @@ from .greedy import greedy_extend, lockstep_extensions
 from .partition import (
     Partition, _schedule, broken_ranks, residue_set_index, standard_columns, standard_partition, sum_schedule
 )
-from .reshuffle import SwapSpec, reshuffle_family_i, reshuffle_family_ii, swap_pair
+from .reshuffle import FAMILIES, SwapSpec, _written_over, reshuffle_family_i, reshuffle_family_ii, swap_pair
 
 # class tallies confirmed by full runs at horizons 64 and 4096
 KNOWN_CLASS_COUNTS = {5: 8, 7: 13, 9: 19, 11: 26, 13: 34, 15: 43, 17: 53}
@@ -54,10 +55,8 @@ def _inject(p: Partition, inject: str | None) -> Partition:
         return p
     if inject == "sum-schedule":
         # off-by-one on the last entry of column 7
-        cols = list(p.columns)
-        col = cols[6]
-        cols[6] = col[:-1] + (col[-1] + 1,)
-        return Partition.from_columns(p.cfg, cols)
+        col = p.column(7)
+        return _written_over(p, [(7, col[:-1] + (col[-1] + 1,))])
     if inject == "swap":
         # one-sided exchange across ranks; breaks two column sums
         q, _ = swap_pair(p, SwapSpec((2, 4), (1, 5)))
@@ -71,25 +70,18 @@ def _check_sum_schedule(cfg: ModulusConfig, p: Partition, horizon: int) -> Check
         n = broken[0]
         got, want = sum(p.column(n)), sum_schedule(cfg, n)
         return CheckResult("sum-schedule", False, f"column {n} sums to {got}, schedule wants {want}")
-    passed = CheckResult("sum-schedule", True, f"{horizon} columns follow the schedule")
-    if all(map(eq, map(partial(sum_schedule, cfg), range(1, horizon + 1)), _schedule(cfg))):
-        return passed
-    t, m5 = cfg.t, cfg.m == 5
-    step = (t + 1) ** 2
-    previous = None
+    t, schedule = cfg.t, partial(sum_schedule, cfg)
+    if all(map(eq, map(schedule, range(1, horizon + 1)), _schedule(cfg))):
+        return CheckResult("sum-schedule", True, f"{horizon} columns follow the schedule")
+    # the schedule misses its recurrence: name where, else it is off by a constant from rank 1 on
     for n in range(1, horizon + 1):
-        want = sum_schedule(cfg, n)
-        if m5 and want != 11 * n - 2 * (n // 2) - 8:
+        if cfg.m == 5 and schedule(n) != 11 * n - 2 * (n // 2) - 8:
             return CheckResult("sum-schedule", False, f"m=5 closed form disagrees at rank {n}")
-        if previous is not None:
-            diff = want - previous
-            expected = step + t if n % 2 == 1 else step
+        if n > 1:
+            diff, expected = schedule(n) - schedule(n - 1), (t + 1) ** 2 + t * (n % 2)
             if diff != expected:
-                return CheckResult(
-                    "sum-schedule", False, f"difference at rank {n} is {diff}, expected {expected}"
-                )
-        previous = want
-    return passed
+                return CheckResult("sum-schedule", False, f"difference at rank {n} is {diff}, expected {expected}")
+    return CheckResult("sum-schedule", False, f"schedule starts at {schedule(1)}, not t(t+1)/2 = {t * (t + 1) // 2}")
 
 
 def _check_residues(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult:
@@ -188,30 +180,17 @@ def _check_reshuffles(cfg: ModulusConfig, horizon: int, validated: Partition | N
     full validate(), whose message names the first fault.
     """
     std = standard_partition(cfg, horizon) if validated is None else validated
-    cols = std.columns
-    k_i = horizon // 6
-    k_ii = max((horizon - 4) // 6, 0)
-    # family i pairs: sets 1+3 at rank 4k, sets 1+2 at rank 6k-1, both 30k - 7 (k >= 1);
-    # family ii pairs: sets 2+3 at rank 4k+3, sets 1+2 at rank 6k+4, both 30k + 17 (k >= 0)
-    first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
-    pair_sums = (
-        (cols[3:4 * k_i:4], first, third, range(23, 30 * k_i, 30)),
-        (cols[4:6 * k_i:6], first, second, range(23, 30 * k_i, 30)),
-        (cols[2:4 * k_ii:4], second, third, range(17, 30 * k_ii, 30)),
-        (cols[3:6 * k_ii:6], first, second, range(17, 30 * k_ii, 30)),
-    )
-    if not all(all(map(eq, map(add, map(x, ranks), map(y, ranks)), want)) for ranks, x, y, want in pair_sums):
-        for k in range(1, k_i + 1):
-            a = cols[4 * k - 1][0] + cols[4 * k - 1][2]
-            b = cols[6 * k - 2][0] + cols[6 * k - 2][1]
-            if not a == b == 30 * k - 7:
-                return CheckResult("reshuffle-identities", False, f"family i pair sums differ at k={k}")
-        for k in range(k_ii):
-            a = cols[4 * k + 2][1] + cols[4 * k + 2][2]
-            b = cols[6 * k + 3][0] + cols[6 * k + 3][1]
-            if not a == b == 30 * k + 17:
-                return CheckResult("reshuffle-identities", False, f"family ii pair sums differ at k={k}")
-    for result in (reshuffle_family_i(std, k_i), reshuffle_family_ii(std, k_ii)):
+    # only exchanges below the last column, which the exchange test needs untouched
+    k_max = {name: family.k_max(horizon - 1) for name, family in FAMILIES.items()}
+    for name, family in FAMILIES.items():
+        ks, want = range(family.k_min, family.k_min + k_max[name]), family.sums(k_max[name])
+        broken = [  # the k of each pair whose sum misses the closed form
+            k for _, at, (x, y) in family.pairs(std.columns, k_max[name])
+            for k in compress(ks, map(ne, map(add, map(itemgetter(x - 1), at), map(itemgetter(y - 1), at)), want))
+        ]
+        if broken:
+            return CheckResult("reshuffle-identities", False, f"family {name} pair sums differ at k={min(broken)}")
+    for result in (reshuffle_family_i(std, k_max["i"]), reshuffle_family_ii(std, k_max["ii"])):
         if validated is not None and _is_exchange_of(result, validated):
             continue
         try:  # the column check includes every column sum
@@ -219,7 +198,7 @@ def _check_reshuffles(cfg: ModulusConfig, horizon: int, validated: Partition | N
         except InvariantError as e:
             return CheckResult("reshuffle-identities", False, str(e))
     return CheckResult(
-        "reshuffle-identities", True, f"pair sums and sum pattern hold through k={k_i}"
+        "reshuffle-identities", True, f"pair sums and sum pattern hold through k={k_max['i']}"
     )
 
 

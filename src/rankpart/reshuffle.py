@@ -2,21 +2,18 @@
 
 A slot is (set index, rank).  The generic primitive swaps the contents of
 two slots and reports which column sums broke; chaining swaps whose pair
-sums match yields new partitions with the sum pattern intact.  Two infinite
-families of such exchanges exist for the m=5 standard partition:
-
-  family i  (k >= 1): the pair at rank 4k in sets one and three trades
-      places with the pair at rank 6k-1 in sets one and two; both pairs
-      sum to 30k - 7.
-  family ii (k >= 0): the pair at rank 4k+3 in sets two and three trades
-      places with the pair at rank 6k+4 in sets one and two; both pairs
-      sum to 30k + 17.
-
-The pair sums hold only at m=5, so both families refuse any other modulus.
-Each reads the input's columns once and zips the new tuples from
-`itemgetter` maps over two extended slices of them, not a loop per k.  The
-output is the input's deviation map with the exchanged columns written over
-it, so the verification battery finds the exchanged ranks by comparing maps.
+sums match yields new partitions with the sum pattern intact.  An infinite
+family of such exchanges is data, an `ExchangeFamily`: exchange k trades the
+pair in two sets at rank 4k + low with the pair in sets one and two at rank
+6k + high, both summing to 30k + total.  `FAMILIES` holds the two families
+of the m=5 standard partition, i (k >= 1: sets one and three at rank 4k,
+rank 6k-1, sums 30k - 7) and ii (k >= 0: sets two and three at rank 4k+3,
+rank 6k+4, sums 30k + 17).  The pair sums hold only at m=5, so the one
+builder refuses any other modulus, and its one horizon rule is the last rank
+the exchanges touch, the high rank of the last k.  It reads the input's
+columns once, zips the new tuples from `itemgetter` maps over two extended
+slices of them, not a loop per k, and writes them over the input's deviation
+map, so the verification battery finds the exchanged ranks by comparing maps.
 """
 from __future__ import annotations
 
@@ -27,8 +24,6 @@ from operator import itemgetter
 
 from .errors import HorizonError
 from .partition import Column, Partition, broken_ranks, standard_columns
-
-_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -41,6 +36,41 @@ class SwapSpec:
     def __post_init__(self):
         if self.first == self.second:
             raise ValueError("swap slots must be distinct")
+
+
+@dataclass(frozen=True)
+class ExchangeFamily:
+    """Exchange k >= k_min trades the pair in sets low_sets at rank 4k + low with the
+    pair in sets 1 and 2 at rank 6k + high; in the m=5 standard partition both pairs
+    sum to 30k + total.  The two ranks differ in parity, so no column holds both."""
+
+    k_min: int
+    low: int
+    low_sets: tuple[int, int]
+    high: int
+    total: int
+
+    def pairs(self, columns: tuple[Column, ...], k_max: int) -> list[tuple[range, tuple[Column, ...], tuple[int, int]]]:
+        """(ranks, columns there, set pair) of the low and of the high pairs of the first k_max exchanges."""
+        k0, k1 = self.k_min, self.k_min + k_max
+        return [(r, columns[r.start - 1:r.stop - 1:r.step], sets) for r, sets in (
+            (range(4 * k0 + self.low, 4 * k1 + self.low, 4), self.low_sets),
+            (range(6 * k0 + self.high, 6 * k1 + self.high, 6), (1, 2)),
+        )]
+
+    def sums(self, k_max: int) -> range:
+        """The closed form 30k + total of each of the first k_max exchanges' pair sums."""
+        return range(30 * self.k_min + self.total, 30 * (self.k_min + k_max) + self.total, 30)
+
+    def k_max(self, horizon: int) -> int:
+        """The most exchanges whose ranks all lie in 1..horizon."""
+        return len(range(6 * self.k_min + self.high, horizon + 1, 6))
+
+
+FAMILIES = {
+    "i": ExchangeFamily(k_min=1, low=0, low_sets=(1, 3), high=-1, total=-7),
+    "ii": ExchangeFamily(k_min=0, low=3, low_sets=(2, 3), high=4, total=17),
+}
 
 
 def _check_slot(p: Partition, slot: tuple[int, int]) -> None:
@@ -78,45 +108,36 @@ def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]
     return q, broken_ranks(q)
 
 
-def _check_family(p: Partition, k_max: int) -> None:
+def _exchange(p: Partition, family: ExchangeFamily, k_max: int) -> Partition:
+    """Apply the first k_max exchanges of a family to an m=5 partition."""
     if p.cfg.m != 5:
         raise ValueError("reshuffle families are defined for m=5 only")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    (low, a, (x, y)), (high, b, _) = family.pairs(p.columns, k_max)
+    if high and high[-1] > p.horizon:
+        raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {high[-1]}")
+    # sets x and y of each low column take the high pair in order; the high pair takes theirs
+    source = {x: (b, 0), y: (b, 1)}
+    low_cols = zip(*(map(itemgetter(j), c) for c, j in (source.get(i, (a, i - 1)) for i in (1, 2, 3))))
+    high_cols = zip(map(itemgetter(x - 1), a), map(itemgetter(y - 1), a), map(itemgetter(2), b))
+    return _written_over(p, chain(zip(low, low_cols), zip(high, high_cols)))
 
 
 def reshuffle_family_i(p: Partition, k_max: int) -> Partition:
     """Apply the family-i exchanges for k = 1..k_max to an m=5 standard partition.
 
-    Needs horizon >= 6*k_max; k_max = 0 returns the input unchanged.
+    Needs horizon >= 6*k_max - 1, the last rank they touch; k_max = 0 returns the input unchanged.
     """
-    _check_family(p, k_max)
-    if p.horizon < 6 * k_max:
-        raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max}")
-    cols = p.columns
-    # ranks 4k are even and 6k-1 odd, so the two slices never share a column
-    a, b = cols[3:4 * k_max:4], cols[4:6 * k_max:6]
-    return _written_over(p, chain(
-        zip(range(4, 4 * k_max + 1, 4), zip(map(_first, b), map(_second, a), map(_second, b))),
-        zip(range(5, 6 * k_max, 6), zip(map(_first, a), map(_third, a), map(_third, b))),
-    ))
+    return _exchange(p, FAMILIES["i"], k_max)
 
 
 def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
     """Apply the family-ii exchanges for k = 0..k_max-1 to an m=5 standard partition.
 
-    k_max counts applications; needs horizon >= 6*k_max + 4 when k_max > 0.
+    k_max counts applications; needs horizon >= 6*k_max - 2, the last rank they touch.
     """
-    _check_family(p, k_max)
-    if k_max and p.horizon < 6 * k_max + 4:
-        raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {6 * k_max + 4}")
-    cols = p.columns
-    # ranks 4k+3 are odd and 6k+4 even, so the two slices never share a column
-    a, b = cols[2:4 * k_max:4], cols[3:6 * k_max:6]
-    return _written_over(p, chain(
-        zip(range(3, 4 * k_max, 4), zip(map(_first, a), map(_first, b), map(_second, b))),
-        zip(range(4, 6 * k_max, 6), zip(map(_second, a), map(_third, a), map(_third, b))),
-    ))
+    return _exchange(p, FAMILIES["ii"], k_max)
 
 
 def verify_sum_pattern(p: Partition, horizon: int) -> bool:

@@ -124,6 +124,19 @@ def test_sum_schedule_check_names_the_first_disagreeing_rank(monkeypatch, m, ran
     assert result == CheckResult("sum-schedule", False, detail)
 
 
+@pytest.mark.parametrize("m, detail", [
+    (7, "schedule starts at 7, not t(t+1)/2 = 6"),
+    (9, "schedule starts at 11, not t(t+1)/2 = 10"),
+])
+def test_sum_schedule_check_fails_a_schedule_off_by_a_constant(monkeypatch, m, detail):
+    # every difference holds, so only the start value shows the fault
+    schedule = checks.sum_schedule
+    monkeypatch.setattr(checks, "sum_schedule", lambda cfg, n: schedule(cfg, n) + 1)
+    cfg = rp.ModulusConfig(m)
+    result = checks._check_sum_schedule(cfg, rp.standard_partition(cfg, 256), 256)
+    assert result == CheckResult("sum-schedule", False, detail)
+
+
 # (set, rank) entries to raise by one: at rank 4k set 3 is only in a family-i
 # pair, at rank 6k+4 set 2 only in a family-ii pair
 @pytest.mark.parametrize("slots, detail", [

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reshuffle_family_ii_loop
 from rankpart.cli import main
+from rankpart.config import ModulusConfig
+from rankpart.partition import standard_partition
 
 FIG_TEXT = "0 1 2\n3 4 5\n6 7 10\n8 11 13\n9 14 _\n"
 
@@ -200,6 +203,15 @@ def test_reshuffle_family_i(capsys):
     assert code == 0
     assert out.splitlines()[3] == "11 9 12"
     assert out.splitlines()[4] == "8 15 20"
+
+
+def test_reshuffle_family_ii_fills_the_horizon(capsys):
+    # three family-ii exchanges touch ranks 3, 4, 7, 10, 11 and 16, so 16 columns hold them
+    code, out, _ = run(capsys, "reshuffle", "--family", "ii", "--kmax", "3",
+                       "--horizon", "16", "--show", "16")
+    assert code == 0
+    cols = reshuffle_family_ii_loop(standard_partition(ModulusConfig(5), 16).columns, 3)
+    assert out == "".join(" ".join(map(str, col)) + "\n" for col in cols)
 
 
 def test_reshuffle_requires_five_sets(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import rankpart as rp
 from oracles import reshuffle_family_i_loop, reshuffle_family_ii_loop
 from rankpart.errors import HorizonError
+from rankpart.reshuffle import FAMILIES
 
 M5 = rp.ModulusConfig(5)
 M7 = rp.ModulusConfig(7)
@@ -139,17 +140,33 @@ def assert_families_match_the_loops(p, k_i, k_ii):
 
 
 def test_families_match_the_loops_at_every_k():
+    # up to the largest k_max: family i's last rank is 6k_max - 1, family ii's 6k_max - 2
     for horizon in range(6, 65):
         p = rp.standard_partition(M5, horizon)
-        for k_i in range(horizon // 6 + 1):
+        for k_i in range((horizon + 1) // 6 + 1):
             assert_families_match_the_loops(p, k_i, 0)
-        for k_ii in range(max((horizon - 4) // 6, 0) + 1):
+        for k_ii in range((horizon + 2) // 6 + 1):
             assert_families_match_the_loops(p, 0, k_ii)
 
 
 def test_families_match_the_loops_at_the_largest_k():
     p = rp.standard_partition(M5, 16384)
     assert_families_match_the_loops(p, 16384 // 6, (16384 - 4) // 6)
+
+
+def test_family_specs_give_the_standard_pair_sums():
+    # both pairs of exchange k sum to 30k + total in the standard partition, at every k that fits
+    cols = rp.standard_partition(M5, 16384).columns
+    for family in FAMILIES.values():
+        k_max = family.k_max(16384)
+        assert k_max == len(range(family.k_min, 16384 // 6 + 1))
+        want = [30 * k + family.total for k in range(family.k_min, family.k_min + k_max)]
+        assert list(family.sums(k_max)) == want
+        pairs = family.pairs(cols, k_max)
+        assert [sets for _, _, sets in pairs] == [family.low_sets, (1, 2)]
+        for ranks, at, (x, y) in pairs:
+            assert [cols[n - 1] for n in ranks] == list(at)
+            assert [col[x - 1] + col[y - 1] for col in at] == want
 
 
 def test_families_refuse_other_moduli():
@@ -216,14 +233,13 @@ def test_family_zero_is_identity(std_deep):
 
 
 def test_family_horizon_guards():
-    short = rp.standard_partition(M5, 17)
-    assert rp.reshuffle_family_i(short, 2).horizon == 17
-    with pytest.raises(HorizonError):
-        rp.reshuffle_family_i(short, 3)
-    with pytest.raises(HorizonError):
-        rp.reshuffle_family_ii(short, 3)  # needs 22 columns
+    # three exchanges reach rank 17 in family i and rank 16 in family ii
+    for family, fits in ((rp.reshuffle_family_i, 17), (rp.reshuffle_family_ii, 16)):
+        with pytest.raises(HorizonError, match=f"need {fits}"):
+            family(rp.standard_partition(M5, fits - 1), 3)
+        assert family(rp.standard_partition(M5, fits), 3).horizon == fits
     with pytest.raises(ValueError):
-        rp.reshuffle_family_i(short, -1)
+        rp.reshuffle_family_i(rp.standard_partition(M5, 17), -1)
 
 
 def test_broken_ranks_and_pattern_check(std_deep):
