@@ -218,11 +218,11 @@ def run_census_both(
 def standard_equivalent_heads(heads: list[Head], horizon: int) -> set[int]:
     """Ids of heads whose greedy extension is equivalent to the standard partition.
 
-    The heads are grouped as by dedup_heads (a head without a choice_id takes
-    its position) and classed as in a census.  Heads that die before the
-    horizon are never equivalent.  A head with the standard union merges with
-    the standard head at its last rank even beyond horizon/2, so below
-    horizon 10 the union alone decides.
+    The heads are grouped, and checked, as by dedup_heads (a head without a
+    choice_id takes its position) and classed as in a census.  Heads that
+    die before the horizon are never equivalent.  A head with the standard
+    union merges with the standard head at its last rank even beyond
+    horizon/2, so below horizon 10 the union alone decides.
     """
     if not heads:
         return set()

@@ -11,6 +11,9 @@ early, as in `rankpart census | head -1`, cuts the output short: the run
 ends quietly with exit 1.  The RANKPART_NODE_BUDGET environment variable
 overrides the enumeration node cap.
 
+generate and reshuffle show the first 46 ranks, or every rank of a
+horizon shorter than that; an explicit --show must lie within the horizon.
+
 A call pays only for the subcommand it runs: when the first argument names
 one, `main` builds that sub-parser alone (anything else gets the full
 parser, so every message reads the same), and each cmd_* function imports
@@ -75,6 +78,11 @@ def _resolve_head(token: str, m_flag: int | None, node_budget: int, horizon: int
     return head
 
 
+def _shown(args: argparse.Namespace) -> int:
+    """The ranks to display: --show, or the first DEFAULT_COLUMNS_SHOWN within the horizon."""
+    return min(DEFAULT_COLUMNS_SHOWN, args.horizon) if args.show is None else args.show
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     from .greedy import greedy_extend
     from .partition import standard_partition
@@ -84,7 +92,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     head = None if args.head == "standard" else _resolve_head(args.head, args.m, budget, args.horizon)
     cfg = head.cfg if head else ModulusConfig(args.m if args.m is not None else 5)
     p = greedy_extend(cfg, head.columns, args.horizon) if head else standard_partition(cfg, args.horizon)
-    sys.stdout.write(render_partition(p, args.show, args.format))
+    sys.stdout.write(render_partition(p, _shown(args), args.format))
     return 0
 
 
@@ -142,7 +150,7 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
         p = family(std, args.kmax)
     except HorizonError as e:  # a horizon too short for --kmax is a usage error, as elsewhere
         raise ValueError(str(e)) from None
-    sys.stdout.write(render_partition(p, args.show, args.format))
+    sys.stdout.write(render_partition(p, _shown(args), args.format))
     return 0
 
 
@@ -172,7 +180,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "generate"):
         g = add("generate", "render a partition table", cmd_generate)
         g.add_argument("--head", default="standard", help="'standard', a head id, or a head file path")
-        g.add_argument("--show", type=int, default=DEFAULT_COLUMNS_SHOWN, help="ranks to display")
+        g.add_argument("--show", type=int, default=None, help="ranks to display")
         g.add_argument("--format", choices=("text", "csv", "json"), default="text")
     if command in (None, "census"):
         from .census import PROTOCOLS
@@ -192,7 +200,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         r = add("reshuffle", "apply an exchange family to the standard partition", cmd_reshuffle)
         r.add_argument("--family", choices=("i", "ii"), required=True)
         r.add_argument("--kmax", type=int, required=True, help="number of exchange steps")
-        r.add_argument("--show", type=int, default=DEFAULT_COLUMNS_SHOWN, help="ranks to display")
+        r.add_argument("--show", type=int, default=None, help="ranks to display")
         r.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
 

@@ -8,27 +8,27 @@ extension depends on the used-element pool alone, so heads with equal element
 unions share their entire tail.  That union is therefore the deduplication
 key.
 
-One depth-first search finds every head (`_search`).  It holds the used
-elements as an integer bitmask and fills each column from the list of values
-still free, pruning a branch as soon as the least sum of the next free
-values exceeds what the column has left; the last part of a column is
-forced.  A column's choices depend only on the used mask, which also fixes
-the column (every column adds the same number of values), so the search
-finds them once per mask and reuses them on every repeat visit, charging the
-node budget for each visit as if it had searched again.  The last column
-reaches the caller as one batch per visit: the earlier columns and the
-bitmasks of every completion.  The same routine writes a single total as
-distinct parts (`sum_decompositions`).  Heads come out in lexicographic order
-of their columns and are numbered 1, 2, ... in that order.  `head_groups`
-keys each head by its union bitmask, works out once per prefix mask which
-group each completion joins and builds a Head only for the first of each
-group, so a census never holds one object per head (199 513 heads fall into
-1 563 groups at m=13).  A group's member ids go into one array('q') as they
-are found, 8 bytes an id, and that array is what the census report holds and
-the JSON writer reads.  `enumerate_heads_general` builds every Head and
-`head_by_id` skips whole batches until it reaches the one it is asked for.
-`dedup_heads` keys a list of heads that a caller supplies by the same
-bitmask, and both hand their groups to one builder (`_groups`).
+One depth-first search finds every head (`_search`), a generator of
+batches.  It holds the used elements as an integer bitmask and fills each
+column from the list of values still free, pruning a branch as soon as the
+least sum of the next free values exceeds what the column has left; the
+last part of a column is forced.  A column's choices depend only on the
+used mask, which also fixes the column (every column adds the same number
+of values), so they are found once per mask and reused on every repeat
+visit.  The search counts its own nodes, each repeat visit as if searched
+again, and raises ResourceError once the count passes the node budget.
+Each visit of the last column yields one batch: the prefix mask, the
+earlier columns and the bitmasks of every completion.  Every caller,
+`sum_decompositions` too, is a plain loop over that stream.  Heads come
+out in lexicographic order of their columns, numbered 1, 2, ... in that
+order.  `head_groups` keys each head by its union bitmask, works out once
+per prefix mask which group each completion joins and builds a Head only
+for the first of each group (199 513 heads fall into 1 563 groups at
+m=13), appending member ids to one array('q') per group (8 bytes an id)
+that the census report and JSON writer hold as is.  `head_by_id` skips
+whole batches and returns at the requested one, closing the search.
+`dedup_heads` keys a caller's heads by the same bitmask, and both hand
+their groups to one builder (`_groups`).
 
 For m=5 the search is tiny: columns 1 and 2 are forced to {0,1,2} and
 {3,4,5}, column 3 has two choices, column 4 six, and 36 heads survive in
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_NODE_BUDGET, ModulusConfig
@@ -59,19 +59,6 @@ class Head:
         check_columns(self.cfg, self.columns)
 
 
-class _Budget:
-    """Search-node counter; raises once the configured cap is exceeded."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.nodes = 0
-
-    def charge(self, k: int) -> None:
-        self.nodes += k
-        if self.nodes > self.limit:
-            raise ResourceError(f"enumeration exceeded node budget of {self.limit}")
-
-
 def _mask(values) -> int:
     """Bitmask with bit x set for every distinct value x."""
     return sum(1 << x for x in set(values))
@@ -87,24 +74,22 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _search(
-    totals: list[int],
-    size: int,
-    mask: int,
-    budget: _Budget,
-    leaf: Callable[[int, list[tuple[int, ...]], list[int]], None],
-) -> None:
+_Batch = tuple[int, list[tuple[int, ...]], list[int]]  # (prefix mask, earlier columns, completions)
+
+
+def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iterator[_Batch]:
     """Fill one column per total with `size` distinct values, none set in mask.
 
     Columns are filled left to right, each avoiding the mask and every
     earlier column, and each column's choices come out in increasing,
-    lexicographic order of their parts.  Every visit of the last column calls
-    leaf(prefix_mask, columns, choices) once: prefix_mask is the mask of the
-    earlier columns, columns holds those columns as tuples, and choices lists
-    the last column's completions as bitmasks of their parts, in search
-    order.  The columns list is reused and the choices list is shared by
-    every visit with the same prefix mask, so a leaf must not change them and
-    must copy what it keeps.
+    lexicographic order of their parts.  Every visit of the last column
+    yields one batch (prefix_mask, columns, choices): prefix_mask is the mask
+    of the earlier columns, columns holds those columns as tuples, and
+    choices lists the last column's completions as bitmasks of their parts,
+    in search order.  The columns list is reused by every batch and the
+    choices list is shared by every visit with the same prefix mask, so a
+    consumer must not change them and must copy what it keeps before it
+    asks for the next batch.
 
     A column's choices depend only on the column index and the mask of
     values already used, and the mask fixes the index: every column adds
@@ -116,15 +101,17 @@ def _search(
     sum, read off prefix sums; the first j that fails ends the loop.  The
     last part is forced to the remaining sum and must be free; the bound on
     the part before it already makes it at least the next free value, so
-    parts increase.  Every call of `fill` is one node.  Each visit of a column
-    charges the budget with the nodes its choices took to find, first visit
-    or not, so the total over a full search equals the nodes of a search
-    without reuse.
+    parts increase.  Every call of `fill` is one node.  The search counts
+    its own nodes: each visit of a column adds the nodes its choices took to
+    find, first visit or not, before it yields or descends, so the total over
+    a full search equals the nodes of a search without reuse.  As soon as the
+    count passes node_budget it raises ResourceError; a consumer that stops
+    early has spent only the nodes up to its last batch.
     """
     columns: list[tuple[int, ...]] = []
     last = len(totals) - 1
-    charge = budget.charge
     seen: dict[int, tuple[list[int], int]] = {}  # used mask -> (choices, nodes)
+    nodes = 0
 
     def column_choices(c: int, mask: int) -> tuple[list[int], int]:
         """Bitmasks of every way to fill column c avoiding mask, and the nodes spent."""
@@ -159,30 +146,33 @@ def _search(
 
         return found, fill(0, total, size, 0)
 
-    def visit(c: int, mask: int) -> None:
+    def visit(c: int, mask: int) -> Iterator[_Batch]:
+        nonlocal nodes
         known = seen.get(mask)
         if known is None:
             known = seen[mask] = column_choices(c, mask)
-        choices, nodes = known
-        charge(nodes)
+        choices, spent = known
+        nodes += spent
+        if nodes > node_budget:
+            raise ResourceError(f"enumeration exceeded node budget of {node_budget}")
         if c == last:
-            leaf(mask, columns, choices)
+            yield mask, columns, choices
             return
         for part in choices:
             columns.append(_bits(part))
-            visit(c + 1, mask | part)
+            yield from visit(c + 1, mask | part)
             columns.pop()
 
     try:
-        visit(0, mask)
+        yield from visit(0, mask)
     finally:
         seen.clear()  # visit refers to itself, so only the cyclic collector would free it
 
 
-def _head_totals(cfg: ModulusConfig, column_count: int) -> list[int]:
+def _head_batches(cfg: ModulusConfig, column_count: int, node_budget: int) -> Iterator[_Batch]:
     if column_count < 1:
         raise ValueError(f"column count must be >= 1, got {column_count}")
-    return [sum_schedule(cfg, c) for c in range(1, column_count + 1)]
+    return _search([sum_schedule(cfg, c) for c in range(1, column_count + 1)], cfg.set_count, 0, node_budget)
 
 
 def sum_decompositions(
@@ -212,10 +202,8 @@ def sum_decompositions(
         raise ValueError(f"min_value must be >= 0, got {min_value}")
     if total < min_value:
         return []
-    out: list[tuple[int, ...]] = []
     mask = (1 << min_value) - 1 | _mask(x for x in excluded if 0 <= x <= total)
-    _search([total], size, mask, _Budget(math.inf), lambda _, __, parts: out.extend(map(_bits, parts)))
-    return out
+    return [_bits(part) for _, _, parts in _search([total], size, mask, math.inf) for part in parts]
 
 
 def fifth_column_candidates(cfg: ModulusConfig) -> list[tuple[int, ...]]:
@@ -247,18 +235,9 @@ def enumerate_heads_general(
 
     Raises ResourceError when the search visits more nodes than node_budget.
     """
-    heads: list[Head] = []
-
-    def leaf(_: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
-        for part in parts:
-            heads.append(Head(cfg, (*columns, _bits(part)), choice_id=len(heads) + 1))
-
-    _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
-    return heads
-
-
-class _Found(Exception):
-    """Carries the requested head out of the search."""
+    batches = _head_batches(cfg, column_count, node_budget)
+    heads = ((*columns, _bits(part)) for _, columns, parts in batches for part in parts)
+    return [Head(cfg, head, choice_id=head_id) for head_id, head in enumerate(heads, start=1)]
 
 
 def head_by_id(
@@ -269,25 +248,18 @@ def head_by_id(
 ) -> Head:
     """The head numbered head_id in the order of enumerate_heads_general.
 
-    The search counts heads, skipping each batch of last columns that ends
-    before the requested id, and stops at the requested one, building only
-    that Head.  Every column it opens is charged to the budget in full, the
-    one holding the requested head included.  An id outside 1..N runs the
-    whole search to find N and raises ValueError; ResourceError as for
-    enumerate_heads_general.
+    It counts heads, skipping each batch of last columns that ends before
+    the requested id, and returns at the requested one (closing the search),
+    building only that Head.  Every column opened is charged to the budget in
+    full, the one holding the requested head included.  An id outside 1..N
+    runs the whole search to find N and raises ValueError; ResourceError as
+    for enumerate_heads_general.
     """
     count = 0
-
-    def leaf(_: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
-        nonlocal count
+    for _, columns, parts in _head_batches(cfg, column_count, node_budget):
         if count < head_id <= count + len(parts):
-            raise _Found(Head(cfg, (*columns, _bits(parts[head_id - count - 1])), choice_id=head_id))
+            return Head(cfg, (*columns, _bits(parts[head_id - count - 1])), choice_id=head_id)
         count += len(parts)
-
-    try:
-        _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
-    except _Found as found:
-        return found.args[0]
     raise ValueError(f"head id {head_id} outside 1..{count} for m={cfg.m}")
 
 
@@ -331,7 +303,8 @@ def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
     pool, hence produce identical tails.  A head without a choice_id is
     numbered by its position in the list (from 1); the representative is the
     lowest-numbered head of each group, and groups are ordered by
-    representative number.  Raises InvariantError for a malformed head, and
+    representative number.  Raises InvariantError for a malformed head,
+    then ValueError when the heads differ in modulus or column count, and
     OverflowError for an id outside the signed 64-bit range of member_ids.
     """
     if not heads:
@@ -344,6 +317,8 @@ def dedup_heads(heads: list[Head]) -> list[DedupGroup]:
         if group is None:
             group = found[mask] = (head.columns, array("q"))
         group[1].append(head_id)
+    if len({(h.cfg, len(h.columns)) for h in heads}) > 1:
+        raise ValueError("dedup_heads needs heads of one modulus and one column count")
     return _groups(heads[0].cfg, len(heads[0].columns), found)
 
 
@@ -366,9 +341,7 @@ def head_groups(
     # prefix mask -> the member-id array of each completion's group, in search order
     slots: dict[int, list[array]] = {}
     count = 0
-
-    def leaf(mask: int, columns: list[tuple[int, ...]], parts: list[int]) -> None:
-        nonlocal count
+    for mask, columns, parts in _head_batches(cfg, column_count, node_budget):
         arrays = slots.get(mask)
         if arrays is None:
             arrays = slots[mask] = []
@@ -380,8 +353,6 @@ def head_groups(
         for ids, head_id in zip(arrays, range(count + 1, count + len(parts) + 1)):
             ids.append(head_id)
         count += len(parts)
-
-    _search(_head_totals(cfg, column_count), cfg.set_count, 0, _Budget(node_budget), leaf)
     return count, _groups(cfg, column_count, found)
 
 

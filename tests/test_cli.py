@@ -86,6 +86,17 @@ def test_generate_rejects_show_beyond_horizon(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("generate",), ("reshuffle", "--family", "ii", "--kmax", "2")])
+def test_table_commands_show_a_short_horizon_whole_by_default(capsys, argv):
+    code, out, err = run(capsys, *argv, "--horizon", "16")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 16
+    assert run(capsys, *argv, "--horizon", "16", "--show", "16")[1] == out
+    code, out, err = run(capsys, *argv, "--horizon", "16", "--show", "46")
+    assert (code, out, err) == (2, "", "error: columns shown must be within 1..16, got 46\n")
+    code, out, err = run(capsys, *argv, "--horizon", "64")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 46
+
+
 GUARDED = {
     "generate": ("generate",),
     "reshuffle": ("reshuffle", "--family", "i", "--kmax", "1"),

@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from array import array
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankpart as rp
 import rankpart.enumeration as enumeration
-from rankpart.errors import ResourceError
+from rankpart.errors import InvariantError, ResourceError
 from rankpart.partition import check_columns
 
 from oracles import decomposition_table, head_columns, union_groups
@@ -290,6 +292,22 @@ def test_member_ids_are_int64_arrays_equal_to_the_oracle(m):
         assert [g.member_ids for g in groups] == want
 
 
+def test_dedup_heads_refuses_mixed_moduli_and_column_counts(heads36):
+    m7 = rp.enumerate_heads_general(M7)
+    four = rp.enumerate_heads_general(M5, column_count=4)
+    mixed = "dedup_heads needs heads of one modulus and one column count"
+    for heads in (heads36[:2] + m7[:1], four[:1] + heads36[:1], m7[:2] + heads36[:2]):
+        with pytest.raises(ValueError, match=mixed):
+            rp.dedup_heads(heads)
+        with pytest.raises(ValueError, match=mixed):
+            rp.standard_equivalent_heads(heads, 64)
+    # a malformed head is named first, wherever it stands
+    bad = rp.Head(M5, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13, 14)), choice_id=99)
+    with pytest.raises(InvariantError):
+        rp.dedup_heads(heads36[:2] + m7[:1] + [bad])
+    assert len(rp.dedup_heads(four)) == len(rp.head_groups(M5, column_count=4)[1])
+
+
 def test_dedup_groups_hash_without_their_member_ids(groups36, heads36):
     group = groups36[1]
     twin = dataclasses.replace(group, member_ids=array("q", [99]))
@@ -302,34 +320,55 @@ def test_dedup_groups_hash_without_their_member_ids(groups36, heads36):
     assert got[0] == (-36,) and (-26, -8) in got
 
 
-def count_nodes(monkeypatch, search) -> int:
-    charged = []
-    charge = enumeration._Budget.charge
+def nodes_spent(call) -> int:
+    """The nodes call(node_budget) spends: the least budget it runs under without ResourceError.
 
-    def counting(self, k):
-        charged.append(k)
-        charge(self, k)
+    The search raises as soon as its node count passes the budget, so a call
+    succeeds exactly at budgets of at least what it spends; bisect on that.
+    """
+    def enough(budget: int) -> bool:
+        try:
+            call(budget)
+        except ResourceError as e:
+            assert str(e) == f"enumeration exceeded node budget of {budget}"
+            return False
+        return True
 
-    with monkeypatch.context() as patch:
-        patch.setattr(enumeration._Budget, "charge", counting)
-        search()
-    return sum(charged)
+    low, high = 0, 1  # not enough(low), enough(high)
+    while not enough(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if enough(mid) else (mid, high)
+    return high
 
 
 @pytest.mark.parametrize("m, nodes", [(5, 77), (7, 615), (9, 5447), (11, 39027), (13, 294588)])
-def test_search_node_counts(monkeypatch, m, nodes):
+def test_search_node_counts(m, nodes):
     cfg = rp.ModulusConfig(m)
-    assert count_nodes(monkeypatch, lambda: rp.head_groups(cfg)) == nodes
-    assert count_nodes(monkeypatch, lambda: rp.enumerate_heads_general(cfg)) == nodes
+    for search in (rp.head_groups, rp.enumerate_heads_general):
+        search(cfg, node_budget=nodes)
+        with pytest.raises(ResourceError, match=f"node budget of {nodes - 1}$"):
+            search(cfg, node_budget=nodes - 1)
 
 
-def test_node_budget_is_spent_once_per_node(monkeypatch):
-    nodes = count_nodes(monkeypatch, lambda: rp.enumerate_heads_general(M7))
+def test_node_budget_is_spent_once_per_node():
+    nodes = nodes_spent(lambda budget: rp.enumerate_heads_general(M7, node_budget=budget))
     assert nodes > 365
     for search in (rp.enumerate_heads_general, rp.head_groups):
         search(M7, node_budget=nodes)
         with pytest.raises(ResourceError, match=f"node budget of {nodes - 1}"):
             search(M7, node_budget=nodes - 1)
+
+
+def search_batches(m: int):
+    """The live batch stream of the five-column head search at modulus m, unbounded."""
+    return enumeration._head_batches(rp.ModulusConfig(m), 5, math.inf)
+
+
+def copied(batches):
+    """Each batch with its shared columns and choices lists copied as it arrives."""
+    return ((mask, tuple(columns), tuple(parts)) for mask, columns, parts in batches)
 
 
 def test_interleaved_searches_share_no_state():
@@ -346,6 +385,25 @@ def test_interleaved_searches_share_no_state():
     count, groups, heads, picks, _ = first[9]
     assert picks == [heads[0], heads[count // 3 - 1], heads[-1]]
     assert [tuple(g.member_ids) for g in groups] == [ids for _, ids, _ in union_groups(9, heads)]
+
+    # live streams advanced batch by batch in alternation yield what each yields alone
+    alone = {m: list(copied(search_batches(m))) for m in (7, 9)}
+    for m in (7, 9):
+        got = [(*columns, enumeration._bits(part)) for _, columns, parts in alone[m] for part in parts]
+        assert got == head_columns(m)
+    for a, b in ((7, 9), (9, 9)):
+        pairs = list(zip_longest(copied(search_batches(a)), copied(search_batches(b))))
+        assert [x for x, _ in pairs if x is not None] == alone[a]
+        assert [y for _, y in pairs if y is not None] == alone[b]
+
+    # a stream left open, and a head_by_id that stops early, leave later searches alone
+    for m in (7, 9):
+        cfg = rp.ModulusConfig(m)
+        held = search_batches(m)
+        opened = list(copied(islice(held, 3)))
+        assert rp.head_by_id(cfg, 1) == first[m][2][0]
+        assert rp.head_groups(cfg) == first[m][:2]
+        assert opened + list(copied(held)) == alone[m]
 
 
 def test_head_groups_short_prefix_and_guards():
@@ -380,12 +438,12 @@ def test_head_by_id_equals_the_enumerated_head(m):
             rp.head_by_id(cfg, head_id)
 
 
-def test_head_by_id_stops_at_the_requested_head(monkeypatch):
-    full = count_nodes(monkeypatch, lambda: rp.enumerate_heads_general(M7))
-    first = count_nodes(monkeypatch, lambda: rp.head_by_id(M7, 1))
-    last = count_nodes(monkeypatch, lambda: rp.head_by_id(M7, 365))
-    assert first < last <= full
-    assert count_nodes(monkeypatch, lambda: pytest.raises(ValueError, rp.head_by_id, M7, 366)) == full
+def test_head_by_id_stops_at_the_requested_head():
+    full = nodes_spent(lambda budget: rp.enumerate_heads_general(M7, node_budget=budget))
+    first = nodes_spent(lambda budget: rp.head_by_id(M7, 1, node_budget=budget))
+    last = nodes_spent(lambda budget: rp.head_by_id(M7, 365, node_budget=budget))
+    assert first < last <= full == 615
+    assert nodes_spent(lambda budget: pytest.raises(ValueError, rp.head_by_id, M7, 366, node_budget=budget)) == full
     # the budget caps the nodes spent up to the requested head
     assert rp.head_by_id(M7, 1, node_budget=first).choice_id == 1
     with pytest.raises(ResourceError, match=f"node budget of {first - 1}"):
