@@ -5,14 +5,13 @@ as the search finds them (enumeration.head_groups), without building a Head
 per head.  One builder per group representative, plus one for the standard
 head, then run in lockstep (greedy.lockstep_classes): every builder advances
 from event to event, the ranks where its column can leave the standard
-partition's, and at rank 5 and at every rank up to H/2 builders whose used
-sets coincide are merged, the later one being dropped.
+partition's, and at rank 5 and at every event rank up to H builders whose
+used sets coincide are merged, the later one being dropped.
 
-That merge is exactly the equivalence at horizon H.  Builders merge when
-their (D+, D-) meet by rank H/2, and that pair at rank H/2 is the element
-delta of equivalence._tail_key and fixes every later column, so builders
-merge exactly when their extensions' tail keys are equal; `_tail_key` shows
-why equal keys are the equivalence.  Past H/2 only the class roots extend.
+Each merge proves the equivalence (the greedy module docstring), so the
+class count can only be too high: two classes that would merge past H, or a
+class that would die past H, still count.  For m = 5 ... 13 the last merge
+is at rank 12, and from H = 12 on the count is the H = 4096 count.
 
 Some representatives for m >= 7 hit a forced collision while extending; a
 builder that fails takes its whole class with it, and those representatives
@@ -220,9 +219,7 @@ def standard_equivalent_heads(heads: list[Head], horizon: int) -> set[int]:
 
     The heads are grouped, and checked, as by dedup_heads (a head without a
     choice_id takes its position) and classed as in a census.  Heads that
-    die before the horizon are never equivalent.  A head with the standard
-    union merges with the standard head at its last rank even beyond
-    horizon/2, so below horizon 10 the union alone decides.
+    die before the horizon are never equivalent.
     """
     if not heads:
         return set()

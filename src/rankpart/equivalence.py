@@ -6,8 +6,9 @@ At a finite horizon H the decision is necessarily bounded: we locate the last
 differing rank, require it to fall in the first half of the horizon (tail
 agreement over a mere suffix proves nothing), and compare the prefix
 multisets.  `equivalent_up_to` and `classify` decide it from the partitions'
-deviation maps, which is all a partition holds (`_tail_key`); the census
-decides the same equivalence in one lockstep run (census._group_classes).
+deviation maps, which is all a partition holds (`_tail_key`).  The census
+needs no such margin: it merges greedy extensions whose used sets meet,
+which proves the equivalence (the greedy module docstring).
 
 For m=5 the twenty deduplicated head extensions collapse into eight classes,
 and each class deviates from the standard partition on explicit *exception
@@ -158,9 +159,7 @@ def _tail_key(p: Partition, horizon: int) -> tuple:
     columns on (H/2, H], so N <= H/2, and equal multisets on 1..H/2, hence
     on 1..N as the columns on (N, H/2] are shared.  Conversely a witness
     N <= H/2 leaves identical columns on (H/2, H] and, adding the shared
-    columns on (N, H/2], equal multisets on 1..H/2.  For a valid partition
-    (distinct elements) the delta is the lockstep engine's (D+, D-) at rank
-    H/2: D+ the elements counted +1, D- those counted -1.
+    columns on (N, H/2], equal multisets on 1..H/2.
     """
     half = horizon // 2
     tail = []

@@ -22,13 +22,18 @@ arithmetic and moves D by the few elements where its column and the
 standard column differ.
 
 Many prefixes advance side by side this way and merge where their D sets
-meet.  On entry every prefix is checked by the one prefix validator
-(partition.check_prefixes, a bulk pass of C builtins), and D+, D- are
-frozensets of the set differences of each prefix's element set against the
-standard one.  One heap holds every builder's next event up to the horizon.
-At each event rank the builders due there step; up to H/2 they are then
-merged on (D+, D-), and only the survivors look up their next event.  The
-engine records just the columns it fills; a prefix's own columns stay with
+meet, at any rank up to the horizon.  A merge is a proof of equivalence:
+two builders with equal (D+, D-) at rank r have used the same elements in
+columns 1..r, and greedy extension fills every later rank from the rank and
+that set alone, so their later columns are identical.  Their extensions are
+equivalent with N = r, whatever the horizon, and if one fails the other
+fails at the same rank.  On entry every prefix is checked by the one prefix
+validator (partition.check_prefixes, a bulk pass of C builtins), and D+, D-
+are frozensets of the set differences of each prefix's element set against
+the standard one.  One heap holds every builder's next event up to the
+horizon.  At each event rank the builders due there step and are merged on
+(D+, D-), and only the survivors look up their next event.  The engine
+records just the columns it fills; a prefix's own columns stay with
 the caller.  `lockstep_classes` sorts the extensions into equivalence
 classes, `lockstep_extensions` returns every extension as a sparse
 `Partition` whose deviation map is the prefix's deviating columns followed
@@ -159,12 +164,12 @@ def _run_lockstep(
     All prefixes are validated in one bulk pass (partition.check_prefixes)
     and D+, D- are frozensets of the set differences between each prefix's
     element set and the standard one.  Builders merge at the prefix rank and
-    at every rank up to H/2 where their (D+, D-) are equal; the later index
-    joins the earlier one.  D changes only at events, and one heap holds
-    every builder's next event up to the horizon.  At each event rank every
-    live builder due there steps; up to H/2 their new states are then
-    compared with every live builder's, and only the builders still alive
-    after that get their next event scheduled.
+    at every event rank where their (D+, D-) are equal (a proof, see the
+    module docstring); the later index joins the earlier one.  D changes
+    only at events, and one heap holds every builder's next event up to the
+    horizon.  At each event rank every live builder due there steps, its new
+    state is compared with every live builder's, and only the builders still
+    alive after that get their next event scheduled.
     """
     m, t = cfg.m, cfg.t
     prefixes = list(map(tuple, prefixes))
@@ -216,26 +221,22 @@ def _run_lockstep(
             merge(i, j, start)
         else:
             schedule(i, start)
-    half = horizon // 2
     while ranks:
         rank = heapq.heappop(ranks)
-        merging = rank <= half  # past H/2 the live builders, the roots, only step
         stepped = []
         for i in sorted(due.pop(rank)):
             if alive[i]:
-                if merging:
-                    del index[plus[i], minus[i]]
+                del index[plus[i], minus[i]]
                 if step(i, rank):
                     stepped.append(i)
-        if merging:
-            for i in stepped:
-                key = plus[i], minus[i]
-                j = index.setdefault(key, i)
-                if j < i:
-                    merge(i, j, rank)
-                elif j > i:  # a builder that did not step at this rank
-                    merge(j, i, rank)
-                    index[key] = i
+        for i in stepped:
+            key = plus[i], minus[i]
+            j = index.setdefault(key, i)
+            if j < i:
+                merge(i, j, rank)
+            elif j > i:  # a builder that did not step at this rank
+                merge(j, i, rank)
+                index[key] = i
         for i in stepped:
             if alive[i]:
                 schedule(i, rank)
@@ -284,18 +285,14 @@ def lockstep_classes(
     """Equivalence classes of the greedy extensions of equal-length prefixes.
 
     Returns, for each prefix, the index of the first prefix in its class, or
-    None when the class's extension does not reach the horizon: the classes
-    of equivalence.classify on the extensions.
-
-    The builders advance side by side and, at the prefix rank and at every
-    rank up to H/2, merge when their used sets, held as (D+, D-) around the
-    standard partition's, coincide.  Greedy extension depends only on the
-    used set, so merged builders share their tails, and (D+, D-) at H/2 is
-    the element delta of equivalence._tail_key: a merge is an equality of
-    tail keys, which is the equivalence (argued there).  A builder that hits
-    a forced collision or a negative entry takes its whole class with it.
-    Past H/2 the surviving roots only step, to settle which of them die
-    before the horizon.
+    None when the class's extension does not reach the horizon.  Two
+    extensions share a class when their used sets coincide at some rank up
+    to the horizon, which proves them equivalent (module docstring); a
+    builder that hits a forced collision or a negative entry takes its whole
+    class with it.  Classes that would merge only past the horizon stay
+    apart.  Each class is a union of the classes equivalence.classify finds
+    on the extensions at the same horizon: its rule, made for stored
+    partitions, also needs their columns identical on (H/2, H].
 
     Raises ValueError when the prefixes differ in length or the horizon is
     shorter than them, and InvariantError when a prefix is malformed.

@@ -193,6 +193,21 @@ def classify_scan(columns_list, horizon: int) -> list[list[int]]:
     return sorted(buckets.values(), key=lambda members: members[0])
 
 
+def used_set_classes(columns_list, horizon: int) -> list[list[int]]:
+    """Indices of greedy extensions grouped by the set of elements in columns 1..horizon.
+
+    Greedy extension fills each rank from the used set alone, so extensions
+    whose used sets are equal at some rank r <= horizon share every later
+    column: they are equivalent with N = r, and their used sets are equal at
+    the horizon too.  These are the classes that merging equal used sets up
+    to the horizon proves.  Groups come in order of first member.
+    """
+    buckets: dict[frozenset[int], list[int]] = {}
+    for idx, columns in enumerate(columns_list):
+        buckets.setdefault(frozenset(x for col in columns[:horizon] for x in col), []).append(idx)
+    return sorted(buckets.values(), key=lambda members: members[0])
+
+
 def check_columns_scan(m: int, columns, require_sums: bool = True) -> set[int]:
     """partition.check_columns, element by element: the used set, or InvariantError at the first fault.
 
@@ -333,15 +348,17 @@ class PartitionBuilder:
 def dense_lockstep(cfg, prefixes, horizon: int):
     """Step one PartitionBuilder per prefix through every rank, merging equal used sets.
 
-    Builders merge at the prefix rank and at every rank up to horizon // 2
-    when their used sets are equal, the later into the earlier; past that
-    only the survivors extend, to the horizon.  Returns (roots, extension,
+    Builders merge at the prefix rank and at every rank up to the horizon
+    when their used sets are equal, the later into the earlier: greedy
+    extension from equal used sets is the same.  Returns (roots, extension,
     errors): roots[i] is the first builder of i's class or None when the
     class died, extension(i) the columns of prefix i's greedy extension
     (None when it dies), built on each call, and errors[i] the (type, rank,
-    value) of the exception that killed i's class, or None.  Used sets are bucketed by
-    the sum of their squares (every column sums to the schedule, so plain
-    sums are all equal), and every bucket hit is compared exactly.
+    value) of the exception that killed i's class, or None.  Used sets are
+    bucketed by the sums of their squares and of their cubes (every column
+    sums to the schedule, so plain sums are all equal, and a builder shifted
+    by one against another often has the same sum of squares), and every
+    bucket hit is compared exactly.
     """
     builders = [PartitionBuilder(cfg, cols) for cols in prefixes]
     if not builders:
@@ -350,10 +367,10 @@ def dense_lockstep(cfg, prefixes, horizon: int):
     parent = list(range(len(builders)))
     held = [horizon] * len(builders)
     errors: dict[int, tuple] = {}
-    sums = [sum(x * x for x in b._used) for b in builders]
+    sums = [(sum(x * x for x in b._used), sum(x ** 3 for x in b._used)) for b in builders]
 
     def merge(live: list[int], rank: int) -> list[int]:
-        buckets: dict[int, list[int]] = {}
+        buckets: dict[tuple[int, int], list[int]] = {}
         out = []
         for i in live:
             bucket = buckets.setdefault(sums[i], [])
@@ -371,15 +388,13 @@ def dense_lockstep(cfg, prefixes, horizon: int):
         except (rp.CollisionError, rp.NegativeError) as e:
             errors[i] = (type(e), e.rank, e.value)
             return False
-        sums[i] += sum(x * x for x in col)
+        squares, cubes = sums[i]
+        sums[i] = squares + sum(x * x for x in col), cubes + sum(x ** 3 for x in col)
         return True
 
     live = merge(list(range(len(builders))), start)
-    for rank in range(start + 1, horizon // 2 + 1):
+    for rank in range(start + 1, horizon + 1):
         live = merge([i for i in live if advance(i)], rank)
-    for i in live:
-        while len(builders[i].columns) < horizon and advance(i):
-            pass
     roots: list[int] = []
     for i, j in enumerate(parent):
         roots.append(i if j == i else roots[j])

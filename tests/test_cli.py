@@ -126,6 +126,14 @@ def test_census_json(capsys):
     assert doc["dedup"] == 20
 
 
+@pytest.mark.parametrize("m, classes", ((5, 8), (11, 26)))
+def test_census_at_a_short_horizon_reports_the_exact_count(capsys, m, classes):
+    """Builders merge at every rank up to H, so H = 16 already gives the H = 4096 count."""
+    code, out, _ = run(capsys, "census", "--m", str(m), "--horizon", "16")
+    assert code == 0
+    assert json.loads(out)["classes"] == classes
+
+
 def test_census_both_protocols(capsys):
     code, out, _ = run(capsys, "census", "--m", "5", "--horizon", "256",
                        "--both-protocols")

@@ -1,10 +1,13 @@
 """Lockstep frontier-state engine against the extend-everything reference.
 
 The reference census below extends every dedup representative to the
-horizon with greedy_extend and sorts the extensions' columns with the dense
-oracles classify_scan and equivalent_scan, the way the census worked before
-the engine existed; the map-based classify would read the deviation maps
-the engine itself handed over.
+horizon with greedy_extend and sorts the extensions' columns with dense
+oracles, the way the census worked before the engine existed; the map-based
+classify would read the deviation maps the engine itself handed over.  At
+every horizon the engine's classes are exactly used_set_classes, the
+equivalences its merges prove, and each is a union of classify_scan's
+classes, which need columns identical on the second half of the horizon.
+From H = 24 on, the two references agree on every census tested.
 lockstep_extensions is held to greedy_extend prefix by prefix.  Since
 greedy_extend runs the same event-driven engine, every entry point is also
 held to oracles.dense_lockstep, which steps PartitionBuilders rank by rank,
@@ -15,10 +18,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rankpart as rp
 import rankpart.greedy as greedy
+from rankpart.census import _group_classes
 from rankpart.partition import check_columns
 
 from oracles import (
@@ -28,9 +32,11 @@ from oracles import (
     diff_scan,
     equivalent_scan,
     greedy_step,
+    used_set_classes,
 )
 
-HORIZONS = (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 64, 256)
+HORIZONS = (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 23, 24, 64, 256)
+EXACT_FROM = 24  # classify's H/2 rule sees every merge of these censuses from here on
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +48,13 @@ def std_head(cfg: rp.ModulusConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(rp.standard_column(cfg, n) for n in range(1, 6))
 
 
-def reference_fields(groups: list[rp.DedupGroup], horizon: int, protocol: str) -> dict:
-    """The census fields the engine decides, computed by extending every representative."""
+def reference_fields(groups: list[rp.DedupGroup], horizon: int, protocol: str) -> tuple[dict, dict]:
+    """The census fields the engine decides, computed by extending every representative.
+
+    Returns them twice: classed by used_set_classes, standard-equivalent
+    when the used set equals the standard partition's, and classed by
+    classify_scan, standard-equivalent by equivalent_scan.
+    """
     cfg = groups[0].representative.cfg
     extensions = {}
     for group in groups:
@@ -53,27 +64,34 @@ def reference_fields(groups: list[rp.DedupGroup], horizon: int, protocol: str) -
         except (rp.CollisionError, rp.NegativeError):
             extensions[rep.choice_id] = None
     std = rp.standard_partition(cfg, horizon)
-    std_equivalent = sorted(
-        head_id
-        for group in groups
-        if (ext := extensions[group.representative.choice_id]) is not None
-        and equivalent_scan(ext.columns, std.columns, horizon) is not None
-        for head_id in group.member_ids
-    )
+    std_used = {x for col in std.columns for x in col}
     selected = [
         g.representative.choice_id
         for g in groups
         if protocol == "include-standard" or not g.is_standard
     ]
     alive = [i for i in selected if extensions[i] is not None]
-    classes = classify_scan([extensions[i].columns for i in alive], horizon)
-    return {
-        "representatives": len(selected),
-        "non_extendable": tuple(i for i in selected if extensions[i] is None),
-        "classes": len(classes),
-        "class_members": tuple(tuple(alive[k] for k in members) for members in classes),
-        "standard_equivalent": tuple(std_equivalent),
-    }
+
+    def fields(classify, equivalent) -> dict:
+        classes = classify([extensions[i].columns for i in alive], horizon)
+        return {
+            "representatives": len(selected),
+            "non_extendable": tuple(i for i in selected if extensions[i] is None),
+            "classes": len(classes),
+            "class_members": tuple(tuple(alive[k] for k in members) for members in classes),
+            "standard_equivalent": tuple(sorted(
+                head_id
+                for group in groups
+                if (ext := extensions[group.representative.choice_id]) is not None
+                and equivalent(ext)
+                for head_id in group.member_ids
+            )),
+        }
+
+    return (
+        fields(used_set_classes, lambda ext: {x for col in ext.columns for x in col} == std_used),
+        fields(classify_scan, lambda ext: equivalent_scan(ext.columns, std.columns, horizon) is not None),
+    )
 
 
 def engine_fields(report: rp.CensusReport) -> dict:
@@ -82,23 +100,60 @@ def engine_fields(report: rp.CensusReport) -> dict:
     )}
 
 
+def assert_unions_of(coarse, fine) -> None:
+    """Each class of coarse is a union of classes of fine, and both cover the same members."""
+    where = {i: k for k, members in enumerate(coarse) for i in members}
+    assert sorted(where) == sorted(i for members in fine for i in members)
+    for members in fine:
+        assert len({where[i] for i in members}) == 1, members
+
+
+def assert_census_matches_reference(report: rp.CensusReport, groups: list[rp.DedupGroup]) -> None:
+    """Equal to the used-set reference; a coarsening of classify's, and equal to it from EXACT_FROM."""
+    horizon = report.horizon
+    proved, classified = reference_fields(groups, horizon, report.protocol)
+    got = engine_fields(report)
+    context = f"m={report.m} horizon={horizon} {report.protocol}"
+    assert got == proved, context
+    assert_unions_of(got["class_members"], classified["class_members"])
+    assert set(got["standard_equivalent"]) >= set(classified["standard_equivalent"]), context
+    if horizon >= EXACT_FROM:
+        assert got == classified, context
+
+
 @pytest.mark.parametrize("m", (5, 7, 9))
 def test_census_matches_extend_everything_reference(m, groups_by_m):
-    groups = groups_by_m[m]
     for horizon in HORIZONS:
         reports = rp.run_census_both(m, horizon)
         for report in reports:
-            assert engine_fields(report) == reference_fields(groups, horizon, report.protocol), (
-                f"m={m} horizon={horizon} {report.protocol}"
-            )
+            assert_census_matches_reference(report, groups_by_m[m])
         assert rp.run_census(m, horizon, reports[1].protocol) == reports[1]
 
 
 def test_eleven_set_census_matches_reference(groups_by_m):
     for horizon in (16, 64):
-        excl, incl = rp.run_census_both(11, horizon)
-        assert engine_fields(excl) == reference_fields(groups_by_m[11], horizon, excl.protocol)
-        assert engine_fields(incl) == reference_fields(groups_by_m[11], horizon, incl.protocol)
+        for report in rp.run_census_both(11, horizon):
+            assert_census_matches_reference(report, groups_by_m[11])
+
+
+def test_census_classes_are_exact_from_horizon_twelve():
+    """A merge at any horizon holds at 4096, and from H = 12 the classes are those at 4096.
+
+    For m = 5 ... 13 the census roots and standard-equivalent ids equal
+    their H = 4096 values at every H from 12 to 64.  Below 12 some classes
+    have not merged yet, so there the count is too high.
+    """
+    for m in (5, 7, 9, 11, 13):
+        cfg = rp.ModulusConfig(m)
+        _, groups = rp.head_groups(cfg)
+        exact = _group_classes(cfg, groups, 4096)
+        for horizon in range(5, 65):
+            roots, std_ids = _group_classes(cfg, groups, horizon)
+            for i, root in enumerate(roots):
+                if root is not None:
+                    assert exact[0][i] == exact[0][root], (m, horizon, i)
+            if horizon >= 12:
+                assert (roots, std_ids) == exact, (m, horizon)
 
 
 def test_constant_hash_leaves_every_merge_to_the_exact_comparison(monkeypatch):
@@ -240,7 +295,8 @@ def test_empty_prefixes_and_the_empty_batch():
 # --- the work the census does -------------------------------------------------
 
 @pytest.mark.parametrize(
-    "m, horizon, steps, unmerged_events", ((11, 4096, 1214, 1833), (13, 64, 1884, 3448))
+    "m, horizon, steps, unmerged_events",
+    ((11, 4096, 1214, 1833), (13, 64, 1884, 3448), (11, 16, 734, 1353)),
 )
 def test_census_work_is_pinned(monkeypatch, m, horizon, steps, unmerged_events):
     """The dense steps a census takes are fixed; merged builders schedule no event.
@@ -282,9 +338,23 @@ def prefix_subsets(draw):
     return m, [POOLS[m][i] for i in chosen]
 
 
+def short_horizons(test):
+    """Explicit examples at every H from 10 to 23, where builders merge past H/2.
+
+    Each is a whole pool, so every merge of its census happens; the two
+    moduli alternate with the horizon's parity.
+    """
+    for horizon in range(10, 24):
+        m = 5 if horizon % 2 else 7
+        test = example((m, POOLS[m]), horizon)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
+@short_horizons
 @given(prefix_subsets(), st.integers(10, 256))
 def test_engine_classes_equal_classify(subset, horizon):
+    """The engine's classes are used_set_classes at every H, coarsen classify's, and equal them from H = 24."""
     m, prefixes = subset
     cfg = rp.ModulusConfig(m)
     extensions = []
@@ -294,8 +364,9 @@ def test_engine_classes_equal_classify(subset, horizon):
         except (rp.CollisionError, rp.NegativeError):
             extensions.append(None)
     alive = [i for i, ext in enumerate(extensions) if ext is not None]
-    classes = classify_scan([extensions[i].columns for i in alive], horizon)
-    expected = [[alive[k] for k in c] for c in classes]
+    columns = [extensions[i].columns for i in alive]
+    proved = [[alive[k] for k in c] for c in used_set_classes(columns, horizon)]
+    classified = [[alive[k] for k in c] for c in classify_scan(columns, horizon)]
     roots = rp.lockstep_classes(cfg, prefixes, horizon)
     got: dict[int, list[int]] = {}
     for i, root in enumerate(roots):
@@ -304,7 +375,10 @@ def test_engine_classes_equal_classify(subset, horizon):
     assert [i for i, root in enumerate(roots) if root is None] == [
         i for i, ext in enumerate(extensions) if ext is None
     ]
-    assert list(got.values()) == expected
+    assert list(got.values()) == proved
+    assert_unions_of(proved, classified)
+    if horizon >= EXACT_FROM:
+        assert proved == classified
     assert all(root == members[0] for root, members in got.items())
 
 
@@ -345,6 +419,7 @@ def test_extensions_carry_the_deviation_map_of_their_columns(m, groups_by_m):
 
 
 @settings(max_examples=40, deadline=None)
+@short_horizons
 @given(prefix_subsets(), st.integers(5, 256))
 def test_lockstep_extensions_property(subset, horizon):
     m, prefixes = subset
@@ -391,6 +466,7 @@ def test_engine_matches_dense_reference_for_every_group(m):
 
 
 @settings(max_examples=40, deadline=None)
+@short_horizons
 @given(prefix_subsets(), st.integers(5, 300))
 def test_engine_matches_dense_reference_on_subsets(subset, horizon):
     m, prefixes = subset
