@@ -24,9 +24,11 @@ out in lexicographic order of their columns, numbered 1, 2, ... in that
 order.  `head_groups` keys each head by its union bitmask, works out once
 per prefix mask which group each completion joins and builds a Head only
 for the first of each group (199 513 heads fall into 1 563 groups at
-m=13), appending member ids to one array('q') per group (8 bytes an id)
-that the census report and JSON writer hold as is.  `head_by_id` skips
-whole batches and returns at the requested one, closing the search.
+m=13).  Member ids go to one array('q') per group (8 bytes an id) that the
+census report and JSON writer hold as is; each batch files its ids with
+one map of array.append over its groups' arrays, so no bytecode runs per
+head.  `head_by_id` skips whole batches and returns at the requested one,
+closing the search.
 `dedup_heads` keys a caller's heads by the same bitmask, and both hand
 their groups to one builder (`_groups`).
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -101,7 +104,10 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
     sum, read off prefix sums; the first j that fails ends the loop.  The
     last part is forced to the remaining sum and must be free; the bound on
     the part before it already makes it at least the next free value, so
-    parts increase.  Every call of `fill` is one node.  The search counts
+    parts increase.  Every call of `fill` is one node; the last two parts
+    are placed in one loop, which counts each value it tries for the
+    second-to-last part as the leaf node that placing the last part would
+    have been, so the totals are those of one call per part.  The search counts
     its own nodes: each visit of a column adds the nodes its choices took to
     find, first visit or not, before it yields or descends, so the total over
     a full search equals the nodes of a search without reuse.  As soon as the
@@ -132,6 +138,15 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
         n = len(free)
 
         def fill(i: int, rem: int, k: int, parts: int) -> int:
+            if k == 2:  # the last two parts in one loop; each j is one leaf node
+                j = i
+                while j + 2 <= n and pre[j + 2] - pre[j] <= rem:
+                    v = free[j]
+                    last = rem - v
+                    if not mask >> last & 1:
+                        found.append(parts | 1 << v | 1 << last)
+                    j += 1
+                return 1 + j - i
             if k == 1:
                 if not mask >> rem & 1:
                     found.append(parts | 1 << rem)
@@ -332,8 +347,8 @@ def head_groups(
     Heads are numbered 1, 2, ... in the order of enumerate_heads_general and
     keyed by the bitmask of their union as the search finds them; only the
     first head of each group is built.  The groups a batch of last columns
-    joins are looked up once per prefix mask, and every later batch with
-    that mask appends its ids to the same arrays.  The result equals
+    joins are looked up once per prefix mask, and every batch with that mask
+    appends its ids to the same arrays in one C-level map.  The result equals
     (len(heads), dedup_heads(heads)) for heads = enumerate_heads_general(cfg,
     column_count), at the same node budget.
     """
@@ -350,8 +365,7 @@ def head_groups(
                 if group is None:
                     group = found[mask | part] = ((*columns, _bits(part)), array("q"))
                 arrays.append(group[1])
-        for ids, head_id in zip(arrays, range(count + 1, count + len(parts) + 1)):
-            ids.append(head_id)
+        deque(map(array.append, arrays, range(count + 1, count + len(parts) + 1)), maxlen=0)
         count += len(parts)
     return count, _groups(cfg, column_count, found)
 

@@ -6,7 +6,8 @@ target, and the greedy oracle rescans from zero at every rank instead of
 keeping a cursor, the signature, deviation and equivalence oracles scan
 every rank forward, the union grouping keys heads by their sorted union
 tuple, the column, gap and column-sum scans visit every element or rank in
-turn, and the reshuffle loops make one family exchange at a time.
+turn, the reshuffle loops make one family exchange at a time, and the
+census CSV writer turns every id into text on its own.
 Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
@@ -439,3 +440,20 @@ def union_groups(m: int, heads) -> list[tuple[rp.Head, tuple[int, ...], bool]]:
         rep_id, rep = group[0]
         out.append((rp.Head(rep.cfg, rep.columns, rep_id), tuple(i for i, _ in group), key == std_key))
     return sorted(out, key=lambda g: g[1][0])
+
+
+def census_csv(reports) -> str:
+    """Census CSV written field by field from to_dict(), one str() per id."""
+    lines = ["protocol,field,value"]
+    for doc in (r.to_dict() for r in reports):
+        for field in sorted(doc):
+            value = doc[field]
+            if isinstance(value, list):
+                value = ";".join(
+                    " ".join(str(x) for x in v) if isinstance(v, list) else str(v)
+                    for v in value
+                )
+            elif isinstance(value, dict):
+                value = ";".join(f"{k}={v}" for k, v in sorted(value.items()))
+            lines.append(f"{doc['protocol']},{field},\"{value}\"")
+    return "\n".join(lines) + "\n"

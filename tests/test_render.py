@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
+from array import array
 
 import pytest
+from oracles import census_csv
 
 import rankpart as rp
 from rankpart.checks import CheckResult
-from rankpart.render import render_census, render_checks, render_partition
+from rankpart.render import _indented, render_census, render_checks, render_partition
 
 M5 = rp.ModulusConfig(5)
 
@@ -86,6 +89,46 @@ def test_census_json_writer_handles_every_kind_of_value():
     assert doc["partition_numbers"] == {} and doc["group_members"][0] == []
     assert render_census([report]) == encoded([report])
     assert render_census([]) == "[]\n" == encoded([])
+
+
+class Rank(enum.IntEnum):
+    FIRST = 1
+    SECOND = 2
+
+
+@pytest.mark.parametrize("value", [
+    array("q"),
+    array("q", [7]),
+    array("q", [-3, -(2**63), 0, 2**31, 2**63 - 1]),
+    [],
+    [7],
+    (-1, 2**31),
+    [1, True, 3],
+    (Rank.FIRST, 2),
+    [array("q", [1]), array("q"), (2, 3), [False]],
+    {"b": array("q", [2**32, -5]), "a": [Rank.SECOND]},
+], ids=repr)
+def test_id_sequences_are_written_as_the_standard_indent_encoder_writes_them(value):
+    assert "".join(_indented(value)) == json.dumps(value, sort_keys=True, indent=2, default=list)
+
+
+def first_difference(a: str, b: str) -> tuple[int, str, str] | None:
+    """Where two texts part, with a little of each around it; None when they are equal.
+
+    The census CSV puts all head ids on one line, too long for pytest's diff.
+    """
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[max(i - 30, 0):i + 30], b[max(i - 30, 0):i + 30]
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
+@pytest.mark.parametrize("horizon", [16, 64])
+def test_census_csv_equals_the_per_id_writer(m, horizon):
+    both = list(rp.run_census_both(m, horizon))
+    for reports in ([both[0]], [both[1]], both):
+        assert first_difference(render_census(reports, "csv"), census_csv(reports)) is None
 
 
 def test_census_csv_flattens_fields():

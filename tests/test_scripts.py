@@ -35,7 +35,7 @@ def test_census_stages_prints_one_json_line():
     (line,) = run_script("census_stages.py", "--m", "5", "--horizon", "64", "--runs", "1").splitlines()
     doc = json.loads(line)
     assert (doc["m"], doc["horizon"], doc["runs"]) == (5, 64, 1)
-    assert set(doc["stages"]) == {"search", "classes", "census", "render"}
+    assert set(doc["stages"]) == {"walk", "search", "classes", "census", "render", "ids"}
 
 
 def test_deviation_survey_lists_every_representative():
