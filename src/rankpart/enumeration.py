@@ -107,12 +107,12 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
     parts increase.  Every call of `fill` is one node; the last two parts
     are placed in one loop, which counts each value it tries for the
     second-to-last part as the leaf node that placing the last part would
-    have been, so the totals are those of one call per part.  The search counts
-    its own nodes: each visit of a column adds the nodes its choices took to
-    find, first visit or not, before it yields or descends, so the total over
-    a full search equals the nodes of a search without reuse.  As soon as the
-    count passes node_budget it raises ResourceError; a consumer that stops
-    early has spent only the nodes up to its last batch.
+    have been, so the totals are those of one call per part.  The search
+    counts its own nodes: each visit of a column adds the nodes its choices
+    took to find, first visit or not, before it yields or descends, so the
+    total over a full search equals the nodes of a search without reuse.
+    As soon as the count passes node_budget it raises ResourceError; a
+    consumer that stops early has spent only the nodes up to its last batch.
     """
     columns: list[tuple[int, ...]] = []
     last = len(totals) - 1

@@ -111,7 +111,8 @@ def census_pieces(reports: list[CensusReport], fmt: str = "json") -> Iterator[st
         for doc in (r._json_fields() for r in reports):
             for field in sorted(doc):
                 value = doc[field]
-                if isinstance(value, (array, list, tuple)):  # ids, or one id sequence per group or class
+                # an id list, or one id list per group or class
+                if isinstance(value, (array, list, tuple)):
                     if value and isinstance(value[0], (array, list, tuple)):
                         value = ";".join([_id_text(ids, " ") for ids in value])
                     else:
