@@ -86,13 +86,13 @@ def _shown(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     from .greedy import greedy_extend
     from .partition import standard_partition
-    from .render import render_partition
+    from .render import partition_pieces
 
     budget = _node_budget()
     head = None if args.head == "standard" else _resolve_head(args.head, args.m, budget, args.horizon)
     cfg = head.cfg if head else ModulusConfig(args.m if args.m is not None else 5)
     p = greedy_extend(cfg, head.columns, args.horizon) if head else standard_partition(cfg, args.horizon)
-    sys.stdout.write(render_partition(p, _shown(args), args.format))
+    sys.stdout.writelines(partition_pieces(p, _shown(args), args.format))
     return 0
 
 
@@ -141,7 +141,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_reshuffle(args: argparse.Namespace) -> int:
     from .partition import standard_partition
-    from .render import render_partition
+    from .render import partition_pieces
     from .reshuffle import reshuffle_family_i, reshuffle_family_ii
 
     std = standard_partition(ModulusConfig(args.m if args.m is not None else 5), args.horizon)
@@ -150,7 +150,7 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
         p = family(std, args.kmax)
     except HorizonError as e:  # a horizon too short for --kmax is a usage error, as elsewhere
         raise ValueError(str(e)) from None
-    sys.stdout.write(render_partition(p, _shown(args), args.format))
+    sys.stdout.writelines(partition_pieces(p, _shown(args), args.format))
     return 0
 
 

@@ -80,6 +80,36 @@ def _bits(mask: int) -> tuple[int, ...]:
 _Batch = tuple[int, list[tuple[int, ...]], list[int]]  # (prefix mask, earlier columns, completions)
 
 
+def _fill(
+    free: list[int], pre: list[int], n: int, mask: int, found: list[int], i: int, rem: int, k: int, parts: int
+) -> int:
+    """Place k more parts summing to rem from free[i:], append each completion to found; the nodes spent.
+
+    free lists the n values not set in mask in increasing order and pre its
+    prefix sums; parts is the bitmask of the parts placed so far.
+    """
+    if k == 2:  # the last two parts in one loop; each j is one leaf node
+        j = i
+        while j + 2 <= n and pre[j + 2] - pre[j] <= rem:
+            v = free[j]
+            last = rem - v
+            if not mask >> last & 1:
+                found.append(parts | 1 << v | 1 << last)
+            j += 1
+        return 1 + j - i
+    if k == 1:
+        if not mask >> rem & 1:
+            found.append(parts | 1 << rem)
+        return 1
+    nodes = 1
+    j = i
+    while j + k <= n and pre[j + k] - pre[j] <= rem:
+        v = free[j]
+        nodes += _fill(free, pre, n, mask, found, j + 1, rem - v, k - 1, parts | 1 << v)
+        j += 1
+    return nodes
+
+
 def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iterator[_Batch]:
     """Fill one column per total with `size` distinct values, none set in mask.
 
@@ -104,7 +134,7 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
     sum, read off prefix sums; the first j that fails ends the loop.  The
     last part is forced to the remaining sum and must be free; the bound on
     the part before it already makes it at least the next free value, so
-    parts increase.  Every call of `fill` is one node; the last two parts
+    parts increase.  Every call of `_fill` is one node; the last two parts
     are placed in one loop, which counts each value it tries for the
     second-to-last part as the leaf node that placing the last part would
     have been, so the totals are those of one call per part.  The search
@@ -113,6 +143,12 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
     total over a full search equals the nodes of a search without reuse.
     As soon as the count passes node_budget it raises ResourceError; a
     consumer that stops early has spent only the nodes up to its last batch.
+
+    Nothing the search allocates is left to the cyclic collector.  `_fill`
+    is a plain module function, so a column's choice list, free list and
+    prefix sums go when `column_choices` returns; `visit` refers to itself
+    through its closure, so the search deletes it when it ends, is closed
+    or raises, and the masks' choice lists go with the generator.
     """
     columns: list[tuple[int, ...]] = []
     last = len(totals) - 1
@@ -135,31 +171,7 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
                 if len(free) == size - 1:
                     limit = total - pre[-1]
             v += 1
-        n = len(free)
-
-        def fill(i: int, rem: int, k: int, parts: int) -> int:
-            if k == 2:  # the last two parts in one loop; each j is one leaf node
-                j = i
-                while j + 2 <= n and pre[j + 2] - pre[j] <= rem:
-                    v = free[j]
-                    last = rem - v
-                    if not mask >> last & 1:
-                        found.append(parts | 1 << v | 1 << last)
-                    j += 1
-                return 1 + j - i
-            if k == 1:
-                if not mask >> rem & 1:
-                    found.append(parts | 1 << rem)
-                return 1
-            nodes = 1
-            j = i
-            while j + k <= n and pre[j + k] - pre[j] <= rem:
-                v = free[j]
-                nodes += fill(j + 1, rem - v, k - 1, parts | 1 << v)
-                j += 1
-            return nodes
-
-        return found, fill(0, total, size, 0)
+        return found, _fill(free, pre, len(free), mask, found, 0, total, size, 0)
 
     def visit(c: int, mask: int) -> Iterator[_Batch]:
         nonlocal nodes
@@ -181,7 +193,7 @@ def _search(totals: list[int], size: int, mask: int, node_budget: float) -> Iter
     try:
         yield from visit(0, mask)
     finally:
-        seen.clear()  # visit refers to itself, so only the cyclic collector would free it
+        del visit  # visit refers to itself: free it here, not in the cyclic collector
 
 
 def _head_batches(cfg: ModulusConfig, column_count: int, node_budget: int) -> Iterator[_Batch]:

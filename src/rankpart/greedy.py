@@ -38,8 +38,11 @@ the caller.  `lockstep_classes` sorts the extensions into equivalence
 classes, `lockstep_extensions` returns every extension as a sparse
 `Partition` whose deviation map is the prefix's deviating columns followed
 by the ones its builder filled, and `greedy_extend` runs the same engine on
-one prefix.  The dense builder it is tested against, one rank at a time
-over an explicit used set, lives in tests/oracles.py.
+one prefix.  A dead builder's CollisionError or NegativeError is kept
+without its traceback, and `greedy_extend` drops its own reference to the
+error it raises, so no reference cycle holds a run's state, or its
+callers' frames, once it returns.  The dense builder it is tested against,
+one rank at a time over an explicit used set, lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -159,7 +162,8 @@ def _run_lockstep(
     rank, else the horizon.  filled[i] maps each rank past the prefix whose
     column builder i filled and which is not the standard column to that
     column; the prefix's own columns are the caller's.  errors[i] is the
-    CollisionError or NegativeError that stopped builder i, or None.
+    CollisionError or NegativeError that stopped builder i, or None; it
+    carries no traceback, which would hold this run's frames.
 
     All prefixes are validated in one bulk pass (partition.check_prefixes)
     and D+, D- are frozensets of the set differences between each prefix's
@@ -193,7 +197,7 @@ def _run_lockstep(
         try:
             col, plus[i], minus[i] = _dense_step(m, t, rank - 1, plus[i], minus[i])
         except (CollisionError, NegativeError) as e:
-            errors[i], alive[i] = e, False
+            errors[i], alive[i] = e.with_traceback(None), False
             return False
         if col is not None:
             filled[i][rank] = col
@@ -275,7 +279,10 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
         return Partition.from_columns(cfg, cols)
     _, _, _, (filled,), (error,) = _run_lockstep(cfg, [cols], horizon)
     if error is not None:
-        raise error
+        try:
+            raise error
+        finally:
+            error = None  # the raised error's traceback holds this frame
     return Partition(cfg, horizon, Partition.from_columns(cfg, cols).deviations | filled)
 
 

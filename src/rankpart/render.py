@@ -23,27 +23,52 @@ if TYPE_CHECKING:
     from .partition import Partition
 
 
-def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
-    """First `shown` ranks of a partition in the requested format."""
+# ranks per piece of a partition table: a streamed table holds this many columns at a time
+_BLOCK = 4096
+
+
+def _rank_blocks(shown: int) -> Iterator[range]:
+    """Ranks 1..shown in consecutive runs of at most _BLOCK."""
+    for lo in range(1, shown + 1, _BLOCK):
+        yield range(lo, min(lo + _BLOCK, shown + 1))
+
+
+def partition_pieces(p: Partition, shown: int, fmt: str = "text") -> Iterator[str]:
+    """The text of render_partition, in pieces as they are made.
+
+    Each piece covers at most _BLOCK ranks, whose columns are read as the
+    piece is written: text rank by rank, CSV and JSON set by set, reading
+    every shown column once per set.  A caller that writes each piece as it
+    comes holds a few thousand columns at a time, whatever `shown` is.
+    Raises ValueError, before the first piece, for `shown` outside
+    1..horizon or an unknown format.
+    """
     if not 1 <= shown <= p.horizon:
         raise ValueError(f"columns shown must be within 1..{p.horizon}, got {shown}")
-    cols = list(map(p.column, range(1, shown + 1)))  # only the ranks shown, at any horizon
     if fmt == "text":
-        return "\n".join(" ".join(str(x) for x in col) for col in cols) + "\n"
-    if fmt == "csv":
-        lines = ["set,rank,value"]
-        for i in range(1, p.cfg.set_count + 1):
-            for n in range(1, shown + 1):
-                lines.append(f"{i},{n},{cols[n - 1][i - 1]}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        doc = {
-            "m": p.cfg.m,
-            "columns_shown": shown,
-            "sets": [[col[i] for col in cols] for i in range(p.cfg.set_count)],
-        }
-        return json.dumps(doc, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        for ranks in _rank_blocks(shown):
+            yield "".join([" ".join(map(str, col)) + "\n" for col in map(p.column, ranks)])
+    elif fmt == "csv":
+        yield "set,rank,value\n"
+        for i in range(p.cfg.set_count):
+            for ranks in _rank_blocks(shown):
+                yield "".join([f"{i + 1},{n},{col[i]}\n" for n, col in zip(ranks, map(p.column, ranks))])
+    elif fmt == "json":  # json.dumps(doc, sort_keys=True) of {"m", "columns_shown", "sets": one list per set}
+        yield f'{{"columns_shown": {shown}, "m": {p.cfg.m}, "sets": ['
+        for i in range(p.cfg.set_count):
+            head = ", [" if i else "["
+            for ranks in _rank_blocks(shown):
+                yield head + ", ".join([str(col[i]) for col in map(p.column, ranks)])
+                head = ", "
+            yield "]"
+        yield "]}\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def render_partition(p: Partition, shown: int, fmt: str = "text") -> str:
+    """First `shown` ranks of a partition in the requested format: the join of partition_pieces."""
+    return "".join(partition_pieces(p, shown, fmt))
 
 
 def _id_text(ids, sep: str) -> str:

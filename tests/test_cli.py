@@ -388,6 +388,16 @@ def test_generate_at_any_horizon(capsys, fmt):
     assert run_capped(*argv, "--horizon", HUGE) == near
 
 
+def test_generate_streams_a_table_larger_than_its_memory(capsys):
+    """Two million ranks (47 MB of text) under the 256 MiB cap: the table is written as it is read."""
+    argv = ("generate", "--head", "8", "--horizon", HUGE)
+    code, first, _ = run(capsys, *argv, "--show", "46")
+    assert code == 0
+    out = run_capped(*argv, "--show", "2000000")
+    assert out.count("\n") == 2_000_000 and out.endswith("\n")
+    assert out.startswith(first)
+
+
 # The argparse surface, recorded with COLUMNS=80 (argparse wraps help and
 # usage to the terminal width): help texts, usage errors and exit codes.
 TOP_USAGE = "usage: rankpart [-h] {generate,census,verify,diff,reshuffle} ...\n"
