@@ -39,7 +39,7 @@ _EXPORTS = {
         "Partition", "broken_ranks", "residue_set_index", "standard_column", "standard_partition",
         "sum_schedule",
     ),
-    "reshuffle": ("SwapSpec", "reshuffle_family_i", "reshuffle_family_ii", "swap_pair", "verify_sum_pattern"),
+    "reshuffle": ("SwapSpec", "reshuffle_family", "swap_pair", "verify_sum_pattern"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

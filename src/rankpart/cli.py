@@ -142,12 +142,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_reshuffle(args: argparse.Namespace) -> int:
     from .partition import standard_partition
     from .render import partition_pieces
-    from .reshuffle import reshuffle_family_i, reshuffle_family_ii
+    from .reshuffle import reshuffle_family
 
     std = standard_partition(ModulusConfig(args.m if args.m is not None else 5), args.horizon)
-    family = reshuffle_family_i if args.family == "i" else reshuffle_family_ii
     try:
-        p = family(std, args.kmax)
+        p = reshuffle_family(std, args.family, args.kmax)
     except HorizonError as e:  # a horizon too short for --kmax is a usage error, as elsewhere
         raise ValueError(str(e)) from None
     sys.stdout.writelines(partition_pieces(p, _shown(args), args.format))
@@ -197,8 +196,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         d.add_argument("--head", required=True, help="head id or head file path")
         d.add_argument("--against", choices=("standard",), default="standard")
     if command in (None, "reshuffle"):
+        from .reshuffle import FAMILIES
         r = add("reshuffle", "apply an exchange family to the standard partition", cmd_reshuffle)
-        r.add_argument("--family", choices=("i", "ii"), required=True)
+        r.add_argument("--family", choices=tuple(FAMILIES), required=True)
         r.add_argument("--kmax", type=int, required=True, help="number of exchange steps")
         r.add_argument("--show", type=int, default=None, help="ranks to display")
         r.add_argument("--format", choices=("text", "csv", "json"), default="text")

@@ -39,10 +39,11 @@ classes, `lockstep_extensions` returns every extension as a sparse
 `Partition` whose deviation map is the prefix's deviating columns followed
 by the ones its builder filled, and `greedy_extend` runs the same engine on
 one prefix.  A dead builder's CollisionError or NegativeError is kept
-without its traceback, and `greedy_extend` drops its own reference to the
-error it raises, so no reference cycle holds a run's state, or its
-callers' frames, once it returns.  The dense builder it is tested against,
-one rank at a time over an explicit used set, lives in tests/oracles.py.
+without its traceback, and `greedy_extend` pops the error it raises off
+the engine's list, so no local holds it and no reference cycle holds a
+run's state, or its callers' frames, once it returns.  The dense builder
+it is tested against, one rank at a time over an explicit used set, lives
+in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -277,12 +278,9 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
     if horizon <= len(cols):
         check_columns(cfg, cols)
         return Partition.from_columns(cfg, cols)
-    _, _, _, (filled,), (error,) = _run_lockstep(cfg, [cols], horizon)
-    if error is not None:
-        try:
-            raise error
-        finally:
-            error = None  # the raised error's traceback holds this frame
+    _, _, _, (filled,), errors = _run_lockstep(cfg, [cols], horizon)
+    if errors[0] is not None:
+        raise errors.pop()  # a local holding it would make a cycle through its traceback
     return Partition(cfg, horizon, Partition.from_columns(cfg, cols).deviations | filled)
 
 

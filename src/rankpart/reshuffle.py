@@ -8,12 +8,14 @@ pair in two sets at rank 4k + low with the pair in sets one and two at rank
 6k + high, both summing to 30k + total.  `FAMILIES` holds the two families
 of the m=5 standard partition, i (k >= 1: sets one and three at rank 4k,
 rank 6k-1, sums 30k - 7) and ii (k >= 0: sets two and three at rank 4k+3,
-rank 6k+4, sums 30k + 17).  The pair sums hold only at m=5, so the one
-builder refuses any other modulus, and its one horizon rule is the last rank
-the exchanges touch, the high rank of the last k.  It reads the input's
-columns once, zips the new tuples from `itemgetter` maps over two extended
-slices of them, not a loop per k, and writes them over the input's deviation
-map, so the verification battery finds the exchanged ranks by comparing maps.
+rank 6k+4, sums 30k + 17); a family is one row, keyed by its name.  The
+pair sums hold only at m=5, so the one builder, `reshuffle_family`, refuses
+any other modulus, and its one horizon rule, checked before any column is
+read, is the last rank the exchanges touch, the high rank of the last k.
+It reads the input's columns once, zips the new tuples from `itemgetter`
+maps over two extended slices of them, not a loop per k, and writes them
+over the input's deviation map, so the verification battery finds the
+exchanged ranks by comparing maps.
 """
 from __future__ import annotations
 
@@ -108,36 +110,27 @@ def swap_pair(p: Partition, spec: SwapSpec) -> tuple[Partition, tuple[int, ...]]
     return q, broken_ranks(q)
 
 
-def _exchange(p: Partition, family: ExchangeFamily, k_max: int) -> Partition:
-    """Apply the first k_max exchanges of a family to an m=5 partition."""
+def reshuffle_family(p: Partition, family: str, k_max: int) -> Partition:
+    """Apply the first k_max exchanges of the `FAMILIES` row named family to an m=5 partition.
+
+    Needs a horizon that holds the last rank they touch; k_max = 0 returns the input unchanged.
+    """
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}, expected one of {tuple(FAMILIES)}")
     if p.cfg.m != 5:
         raise ValueError("reshuffle families are defined for m=5 only")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    (low, a, (x, y)), (high, b, _) = family.pairs(p.columns, k_max)
-    if high and high[-1] > p.horizon:
-        raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {high[-1]}")
+    if k_max > spec.k_max(p.horizon):  # before any column is read
+        need = 6 * (spec.k_min + k_max - 1) + spec.high
+        raise HorizonError(f"horizon {p.horizon} too short for k_max={k_max}, need {need}")
+    (low, a, (x, y)), (high, b, _) = spec.pairs(p.columns, k_max)
     # sets x and y of each low column take the high pair in order; the high pair takes theirs
     source = {x: (b, 0), y: (b, 1)}
     low_cols = zip(*(map(itemgetter(j), c) for c, j in (source.get(i, (a, i - 1)) for i in (1, 2, 3))))
     high_cols = zip(map(itemgetter(x - 1), a), map(itemgetter(y - 1), a), map(itemgetter(2), b))
     return _written_over(p, chain(zip(low, low_cols), zip(high, high_cols)))
-
-
-def reshuffle_family_i(p: Partition, k_max: int) -> Partition:
-    """Apply the family-i exchanges for k = 1..k_max to an m=5 standard partition.
-
-    Needs horizon >= 6*k_max - 1, the last rank they touch; k_max = 0 returns the input unchanged.
-    """
-    return _exchange(p, FAMILIES["i"], k_max)
-
-
-def reshuffle_family_ii(p: Partition, k_max: int) -> Partition:
-    """Apply the family-ii exchanges for k = 0..k_max-1 to an m=5 standard partition.
-
-    k_max counts applications; needs horizon >= 6*k_max - 2, the last rank they touch.
-    """
-    return _exchange(p, FAMILIES["ii"], k_max)
 
 
 def verify_sum_pattern(p: Partition, horizon: int) -> bool:

@@ -138,8 +138,8 @@ def test_criterion_07_reshuffle_identities(std_deep):
         low = std_deep.column(4 * k + 3)
         high = std_deep.column(6 * k + 4)
         assert low[1] + low[2] == high[0] + high[1] == 30 * k + 17
-    first = rp.reshuffle_family_i(std_deep, DEEP // 6)
-    second = rp.reshuffle_family_ii(std_deep, (DEEP - 4) // 6)
+    first = rp.reshuffle_family(std_deep, "i", DEEP // 6)
+    second = rp.reshuffle_family(std_deep, "ii", (DEEP - 4) // 6)
     for out in (first, second):
         assert rp.verify_sum_pattern(out, DEEP)
         out.validate()

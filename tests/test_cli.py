@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from oracles import reshuffle_family_ii_loop
+from rankpart.checks import run_verification, verification_passed
 from rankpart.cli import main
 from rankpart.config import ModulusConfig
 from rankpart.partition import standard_partition
+from rankpart.reshuffle import FAMILIES
 
 FIG_TEXT = "0 1 2\n3 4 5\n6 7 10\n8 11 13\n9 14 _\n"
 
@@ -233,6 +235,18 @@ def test_reshuffle_family_ii_fills_the_horizon(capsys):
     assert out == "".join(" ".join(map(str, col)) + "\n" for col in cols)
 
 
+def test_a_families_row_is_all_a_family_needs(capsys, monkeypatch):
+    # the CLI's choices and the verify battery read FAMILIES, so one more row reaches both
+    code, want, _ = run(capsys, "reshuffle", "--family", "ii", "--kmax", "3", "--horizon", "16")
+    assert code == 0
+    battery = run_verification(5, 256)
+    monkeypatch.setitem(FAMILIES, "iii", FAMILIES["ii"])
+    assert run(capsys, "reshuffle", "--family", "iii", "--kmax", "3", "--horizon", "16") == (0, want, "")
+    code, _, err = run(capsys, "reshuffle", "--kmax", "3")
+    assert code == 2 and "--family {i,ii,iii}" in err
+    assert run_verification(5, 256) == battery and verification_passed(battery)
+
+
 def test_reshuffle_requires_five_sets(capsys):
     code, _, err = run(capsys, "reshuffle", "--m", "7", "--family", "i",
                        "--kmax", "1", "--horizon", "12")
@@ -357,16 +371,21 @@ HUGE = str(10**18)
 CHILD_MEMORY = 256 << 20
 
 
-def run_capped(*argv):
-    """stdout of `rankpart argv` in a child process with CHILD_MEMORY of address space; it must exit 0."""
+def capped(*argv):
+    """`rankpart argv` run in a child process with CHILD_MEMORY of address space."""
     def cap():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "rankpart.cli", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )
+
+
+def run_capped(*argv):
+    """stdout of `rankpart argv` in a capped child process; it must exit 0."""
+    done = capped(*argv)
     assert (done.returncode, done.stderr) == (0, "")
     return done.stdout
 
@@ -396,6 +415,13 @@ def test_generate_streams_a_table_larger_than_its_memory(capsys):
     out = run_capped(*argv, "--show", "2000000")
     assert out.count("\n") == 2_000_000 and out.endswith("\n")
     assert out.startswith(first)
+
+
+def test_reshuffle_checks_the_horizon_before_reading_a_column():
+    # the columns of 10**8 ranks would not fit under the cap; the horizon rule reads none of them
+    done = capped("reshuffle", "--family", "i", "--kmax", "100000000", "--horizon", "100000000")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: horizon 100000000 too short for k_max=100000000, need 599999999\n"
 
 
 # The argparse surface, recorded with COLUMNS=80 (argparse wraps help and

@@ -303,8 +303,8 @@ def partitions_from_columns(horizon: int) -> dict[str, rp.Partition]:
     out = {"standard": std}
     for inject in INJECTIONS:
         out[f"inject {inject}"] = _inject(std, inject)
-    out["family i"] = rp.reshuffle_family_i(std, horizon // 6)
-    out["family ii"] = rp.reshuffle_family_ii(std, max((horizon - 4) // 6, 0))
+    out["family i"] = rp.reshuffle_family(std, "i", horizon // 6)
+    out["family ii"] = rp.reshuffle_family(std, "ii", max((horizon - 4) // 6, 0))
     half = horizon // 2
     swap_ranks = {
         "first half": half,

@@ -20,6 +20,16 @@ def reshuffle_result():
     return result
 
 
+def alter_family(monkeypatch, family, alter):
+    """Make the battery pass the named family's output through alter(p, out); other families build as before."""
+    build = checks.reshuffle_family
+
+    def altered(p, name, k_max):
+        return alter(p, build(p, name, k_max)) if name == family else build(p, name, k_max)
+
+    monkeypatch.setattr(checks, "reshuffle_family", altered)
+
+
 # each alteration replaces columns of a family's output at H = 256 and keeps
 # every column sum, so only the exchange test's element, width and
 # last-column rules can turn it away
@@ -36,19 +46,17 @@ def reshuffle_result():
     ("i", [(2, (3, 4, 5), (7, 5)), (3, (6, 7, 10), (6, 3, 4, 10))], "column 2 has 2 entries, expected 3"),
 ])
 def test_reshuffle_check_turns_away_what_is_no_exchange(monkeypatch, family, changes, detail):
-    name = f"reshuffle_family_{family}"
-    build = getattr(checks, name)
     altered = []
 
-    def alter(p, k_max):
-        cols = list(build(p, k_max).columns)
+    def alter(p, out):
+        cols = list(out.columns)
         for rank, old, new in changes:
             assert cols[rank - 1] == old and sum(new) == sum(old)
             cols[rank - 1] = new
         altered.append(rp.Partition.from_columns(p.cfg, tuple(cols)))
         return altered[-1]
 
-    monkeypatch.setattr(checks, name, alter)
+    alter_family(monkeypatch, family, alter)
     result = reshuffle_result()
     (q,) = altered
     assert rp.broken_ranks(q) == ()
@@ -60,25 +68,24 @@ def test_reshuffle_check_turns_away_what_is_no_exchange(monkeypatch, family, cha
 
 def test_reshuffle_check_names_a_sum_broken_inside_the_exchanged_ranks(monkeypatch):
     # the exchanged ranks keep exactly their elements, so only the sum rule turns this away
-    family_i = checks.reshuffle_family_i
+    def moved(p, out):
+        return rp.swap_pair(out, rp.SwapSpec((1, 20), (1, 29)))[0]
 
-    def moved(p, k_max):
-        return rp.swap_pair(family_i(p, k_max), rp.SwapSpec((1, 20), (1, 29)))[0]
-
-    monkeypatch.setattr(checks, "reshuffle_family_i", moved)
+    alter_family(monkeypatch, "i", moved)
     result = reshuffle_result()
     assert result == CheckResult("reshuffle-identities", False, "column 20 sums to 169, schedule wants 192")
 
 
 def count_family_validations(monkeypatch, alter=None):
-    """Wrap both family builders and Partition.validate; returns (outputs, partitions validated)."""
+    """Wrap the family builder and Partition.validate; returns (outputs, partitions validated)."""
     outputs, calls = [], []
-    for name in ("reshuffle_family_i", "reshuffle_family_ii"):
-        def build(p, k_max, family=getattr(checks, name)):
-            outputs.append(family(p, k_max) if alter is None else alter(family(p, k_max)))
-            return outputs[-1]
+    family = checks.reshuffle_family
 
-        monkeypatch.setattr(checks, name, build)
+    def build(p, name, k_max):
+        outputs.append(family(p, name, k_max) if alter is None else alter(family(p, name, k_max)))
+        return outputs[-1]
+
+    monkeypatch.setattr(checks, "reshuffle_family", build)
     validate = rp.Partition.validate
 
     def counting(self, *args, **kwargs):

@@ -122,7 +122,7 @@ def test_families_on_random_k_keep_the_pattern(horizon, data):
     p = rp.standard_partition(M5, horizon)
     k_i = data.draw(st.integers(0, horizon // 6), label="k_i")
     k_ii = data.draw(st.integers(0, (horizon - 4) // 6), label="k_ii")
-    for out in (rp.reshuffle_family_i(p, k_i), rp.reshuffle_family_ii(p, k_ii)):
+    for out in (rp.reshuffle_family(p, "i", k_i), rp.reshuffle_family(p, "ii", k_ii)):
         assert rp.verify_sum_pattern(out, horizon)
         out.validate()
     assert_families_match_the_loops(p, k_i, k_ii)
@@ -130,10 +130,10 @@ def test_families_on_random_k_keep_the_pattern(horizon, data):
 
 def assert_families_match_the_loops(p, k_i, k_ii):
     for family, loop, k_max in (
-        (rp.reshuffle_family_i, reshuffle_family_i_loop, k_i),
-        (rp.reshuffle_family_ii, reshuffle_family_ii_loop, k_ii),
+        ("i", reshuffle_family_i_loop, k_i),
+        ("ii", reshuffle_family_ii_loop, k_ii),
     ):
-        out = family(p, k_max)
+        out = rp.reshuffle_family(p, family, k_max)
         assert list(out.columns) == loop(p.columns, k_max)
         # a column no exchange touches is the input's own tuple, not a copy
         assert all(got is col for got, col in zip(out.columns, p.columns) if got == col)
@@ -175,20 +175,25 @@ def test_families_refuse_other_moduli():
     assert sum(reshuffle_family_i_loop(p.columns, 10)[3]) == 64 != rp.sum_schedule(M7, 4)
     for cfg in (M7, rp.ModulusConfig(9)):
         p = rp.standard_partition(cfg, 64)
-        for family in (rp.reshuffle_family_i, rp.reshuffle_family_ii):
+        for family in FAMILIES:
             with pytest.raises(ValueError, match="reshuffle families are defined for m=5 only"):
-                family(p, 10)
+                rp.reshuffle_family(p, family, 10)
+
+
+def test_an_unknown_family_is_refused(std_deep):
+    with pytest.raises(ValueError, match=r"unknown family 'iii', expected one of \('i', 'ii'\)"):
+        rp.reshuffle_family(std_deep, "iii", 1)
 
 
 def test_family_i_first_exchange(std_deep):
-    out = rp.reshuffle_family_i(std_deep, 1)
+    out = rp.reshuffle_family(std_deep, "i", 1)
     assert out.column(4) == (11, 9, 12)
     assert out.column(5) == (8, 15, 20)
     assert out.columns[5:] == std_deep.columns[5:]
 
 
 def test_family_ii_first_exchange(std_deep):
-    out = rp.reshuffle_family_ii(std_deep, 1)
+    out = rp.reshuffle_family(std_deep, "ii", 1)
     assert out.column(3) == (6, 8, 9)
     assert out.column(4) == (7, 10, 15)
     assert out.columns[4:] == std_deep.columns[4:]
@@ -210,8 +215,8 @@ def test_family_pair_sums(std_deep):
 
 
 def test_families_keep_schedule_and_invariants(std_deep):
-    a = rp.reshuffle_family_i(std_deep, std_deep.horizon // 6)
-    b = rp.reshuffle_family_ii(std_deep, (std_deep.horizon - 4) // 6)
+    a = rp.reshuffle_family(std_deep, "i", std_deep.horizon // 6)
+    b = rp.reshuffle_family(std_deep, "ii", (std_deep.horizon - 4) // 6)
     for out in (a, b):
         assert rp.verify_sum_pattern(out, out.horizon)
         out.validate()
@@ -219,27 +224,27 @@ def test_families_keep_schedule_and_invariants(std_deep):
 
 
 def test_family_outputs_are_equivalent_to_standard(std_deep):
-    a = rp.reshuffle_family_i(std_deep, 3)
+    a = rp.reshuffle_family(std_deep, "i", 3)
     w = rp.equivalent_up_to(a, std_deep, std_deep.horizon)
     assert w is not None and w.N == 17
-    b = rp.reshuffle_family_ii(std_deep, 3)
+    b = rp.reshuffle_family(std_deep, "ii", 3)
     w = rp.equivalent_up_to(b, std_deep, std_deep.horizon)
     assert w is not None and w.N == 16
 
 
 def test_family_zero_is_identity(std_deep):
-    assert rp.reshuffle_family_i(std_deep, 0).columns == std_deep.columns
-    assert rp.reshuffle_family_ii(std_deep, 0).columns == std_deep.columns
+    assert rp.reshuffle_family(std_deep, "i", 0).columns == std_deep.columns
+    assert rp.reshuffle_family(std_deep, "ii", 0).columns == std_deep.columns
 
 
 def test_family_horizon_guards():
     # three exchanges reach rank 17 in family i and rank 16 in family ii
-    for family, fits in ((rp.reshuffle_family_i, 17), (rp.reshuffle_family_ii, 16)):
+    for family, fits in (("i", 17), ("ii", 16)):
         with pytest.raises(HorizonError, match=f"need {fits}"):
-            family(rp.standard_partition(M5, fits - 1), 3)
-        assert family(rp.standard_partition(M5, fits), 3).horizon == fits
+            rp.reshuffle_family(rp.standard_partition(M5, fits - 1), family, 3)
+        assert rp.reshuffle_family(rp.standard_partition(M5, fits), family, 3).horizon == fits
     with pytest.raises(ValueError):
-        rp.reshuffle_family_i(rp.standard_partition(M5, 17), -1)
+        rp.reshuffle_family(rp.standard_partition(M5, 17), "i", -1)
 
 
 def test_broken_ranks_and_pattern_check(std_deep):
