@@ -6,7 +6,9 @@ the interpreter, the imports and the argument parser.  A first run under
 imports (the CLI module itself runs as __main__ and is not listed) and
 leaves the byte-code caches warm where writing them is allowed.  Then
 --runs timed runs follow; the line holds their min and median wall time in
-ms, measured around the child process.
+ms, measured around the child process.  It also holds parse_us, the
+in-process minimum over 200 parses of the same argv by `rankpart.cli.parse_args`,
+the parsing `main` does, so a slower parser shows without the benchmark.
 
 Example:
     PYTHONPATH=src python3 scripts/startup.py --runs 9
@@ -19,6 +21,10 @@ import statistics
 import subprocess
 import sys
 import time
+
+from rankpart.cli import parse_args as parse_cli_args
+
+PARSES = 200
 
 COMMANDS = {
     "generate": ("generate", "--head", "8", "--horizon", "64", "--show", "5"),
@@ -56,6 +62,16 @@ def imported_modules(argv: tuple[str, ...]) -> list[str]:
     return sorted({name for name in names if name.split(".")[0] == "rankpart"})
 
 
+def parse_us(argv: tuple[str, ...]) -> float:
+    """The least time, in µs, of PARSES in-process parses of argv as `rankpart.cli.main` parses it."""
+    times = []
+    for _ in range(PARSES):
+        started = time.perf_counter()
+        parse_cli_args(list(argv))
+        times.append(time.perf_counter() - started)
+    return min(times) * 1e6
+
+
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     for command, cli_argv in COMMANDS.items():
@@ -71,6 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             "runs": args.runs,
             "min_ms": round(min(times), 1),
             "median_ms": round(statistics.median(times), 1),
+            "parse_us": round(parse_us(cli_argv), 1),
             "modules": modules,
         }))
     return 0

@@ -1,9 +1,7 @@
 """Command-line interface.
 
-Subcommands: generate (render a partition table), census (enumeration and
-classification report), verify (consistency checks with optional fault
-injection), diff (columns differing from the standard partition), reshuffle
-(apply an exchange family to the standard partition).
+The subcommands and their one-line summaries are the `COMMANDS` table, and
+`_add_arguments` declares each option once, for every parser that holds it.
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage or
 parse error, 3 enumeration budget exhausted.  A reader that closes stdout
@@ -14,12 +12,12 @@ overrides the enumeration node cap.
 generate and reshuffle show the first 46 ranks, or every rank of a
 horizon shorter than that; an explicit --show must lie within the horizon.
 
-A call pays only for the subcommand it runs: when the first argument names
-one, `main` builds that sub-parser alone (anything else gets the full
-parser, so every message reads the same), and each cmd_* function imports
-what it runs.  Loading this module loads only config and errors; the
-package names it once imported, as `rankpart.cli.greedy_extend`, still
-resolve, from their defining modules.
+A call pays only for the subcommand it runs: a parser holding only the options
+of the subcommand its first argument names parses it (the full parser is built
+only without one, or to report a leftover token, so every message reads the
+same), and each cmd_* function imports what it runs.  Loading this module
+loads only config and errors; the package names it once imported, as
+`rankpart.cli.greedy_extend`, resolve from their defining modules.
 """
 from __future__ import annotations
 
@@ -38,6 +36,8 @@ if TYPE_CHECKING:
     from .enumeration import Head
 
 BUDGET_ENV = "RANKPART_NODE_BUDGET"
+# the exit code of an error a command raises: that of the first class it belongs to
+_EXIT_CODES = ((ParseError, 2), (InvariantError, 2), (ResourceError, 3), (RankPartError, 1), (ValueError, 2))
 
 
 def _node_budget() -> int:
@@ -153,64 +153,70 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = ("generate", "census", "verify", "diff", "reshuffle")
+# name -> (its line in the full parser's help, the function it runs)
+COMMANDS = {
+    "generate": ("render a partition table", cmd_generate),
+    "census": ("enumeration and classification report", cmd_census),
+    "verify": ("run consistency checks", cmd_verify),
+    "diff": ("columns differing from the standard partition", cmd_diff),
+    "reshuffle": ("apply an exchange family to the standard partition", cmd_reshuffle),
+}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or with `command` of that one alone.
-
-    The one-command parser names every subcommand in its usage line, so its
-    "unrecognized arguments" message reads as the full parser's.
-    """
-    parser = argparse.ArgumentParser(
-        prog="rankpart",
-        description="Construct, enumerate, classify, and verify rank-sum partitions.",
-    )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name: str, summary: str, func) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--m", type=int, default=None, help="odd modulus, default 5")
-        p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="columns generated internally")
-        p.set_defaults(func=func)
-        return p
-
-    if command in (None, "generate"):
-        g = add("generate", "render a partition table", cmd_generate)
-        g.add_argument("--head", default="standard", help="'standard', a head id, or a head file path")
-        g.add_argument("--show", type=int, default=None, help="ranks to display")
-        g.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    if command in (None, "census"):
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare the options of `command` on parser, the one place each is declared."""
+    parser.add_argument("--m", type=int, default=None, help="odd modulus, default 5")
+    parser.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="columns generated internally")
+    parser.set_defaults(func=COMMANDS[command][1])
+    if command == "generate":
+        parser.add_argument("--head", default="standard", help="'standard', a head id, or a head file path")
+    elif command == "census":
         from .census import PROTOCOLS
-        c = add("census", "enumeration and classification report", cmd_census)
-        c.add_argument("--protocol", choices=PROTOCOLS, default="exclude-standard")
-        c.add_argument("--both-protocols", action="store_true", help="report under both dedup protocols")
-        c.add_argument("--format", choices=("json", "csv"), default="json")
-    if command in (None, "verify"):
+        parser.add_argument("--protocol", choices=PROTOCOLS, default="exclude-standard")
+        parser.add_argument("--both-protocols", action="store_true", help="report under both dedup protocols")
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+    elif command == "verify":
         from .checks import INJECTIONS
-        v = add("verify", "run consistency checks", cmd_verify)
-        v.add_argument("--inject", choices=INJECTIONS, default=None, help="deliberately corrupt the data first")
-    if command in (None, "diff"):
-        d = add("diff", "columns differing from the standard partition", cmd_diff)
-        d.add_argument("--head", required=True, help="head id or head file path")
-        d.add_argument("--against", choices=("standard",), default="standard")
-    if command in (None, "reshuffle"):
+        parser.add_argument("--inject", choices=INJECTIONS, default=None, help="deliberately corrupt the data first")
+    elif command == "diff":
+        parser.add_argument("--head", required=True, help="head id or head file path")
+        parser.add_argument("--against", choices=("standard",), default="standard")
+    else:
         from .reshuffle import FAMILIES
-        r = add("reshuffle", "apply an exchange family to the standard partition", cmd_reshuffle)
-        r.add_argument("--family", choices=tuple(FAMILIES), required=True)
-        r.add_argument("--kmax", type=int, required=True, help="number of exchange steps")
-        r.add_argument("--show", type=int, default=None, help="ranks to display")
-        r.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        parser.add_argument("--family", choices=tuple(FAMILIES), required=True)
+        parser.add_argument("--kmax", type=int, required=True, help="number of exchange steps")
+    if command in ("generate", "reshuffle"):
+        parser.add_argument("--show", type=int, default=None, help="ranks to display")
+        parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
+    parser = argparse.ArgumentParser(prog="rankpart", description="Construct, enumerate, classify, and verify rank-sum partitions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The options of a call, or argparse's SystemExit for --help or a usage error.
+
+    A named subcommand's own parser parses the call alone; the full parser is
+    built only for a call without one, or to report a leftover token.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"rankpart {argv[0]}")
+        _add_arguments(parser, argv[0])
+        args, leftover = parser.parse_known_args(argv[1:])
+        if not leftover:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
@@ -220,18 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout goes to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, InvariantError) as e:
+    except (RankPartError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ResourceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RankPartError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 def __getattr__(name: str):

@@ -17,9 +17,11 @@ sequence i < t+1 holds the numbers congruent to i or t+i mod m, and the last
 sequence holds the multiples of m.  We call it the standard partition.
 
 A partition is its horizon and its deviation map, rank -> column wherever it
-is not the standard column; `column(n)` and `columns` are read on demand, so
-only the readers that scan every column (validation, the verification
-battery, the reshuffle families) pay O(H), and a horizon of 10**18 is cheap.
+is not the standard column; `column(n)`, `set_run(i, ranks)` (set i over a
+run of ranks, two arithmetic progressions with the map written over them)
+and `columns` are read on demand, so only the readers that scan every column
+(validation, the verification battery, the reshuffle families) pay O(H), and
+a horizon of 10**18 is cheap.
 
 The invariants of a column prefix also live here, once each, and every other
 module calls them: `check_prefixes` checks width, non-negative and distinct
@@ -124,11 +126,28 @@ class Partition:
         col = self.deviations.get(n)
         return standard_column(self.cfg, n) if col is None else col
 
-    def set_elements(self, i: int) -> tuple[int, ...]:
-        """All stored elements of set i (1-based), in rank order."""
+    def set_run(self, i: int, ranks: range) -> list[int]:
+        """The entries of set i (1-based) at the consecutive ranks `ranks`, building no column.
+
+        The standard entries are two interleaved progressions, of step m in
+        sets 1..t and 2m in set t+1; the map is written over them.
+        """
         if not 1 <= i <= self.cfg.set_count:
             raise ValueError(f"set index {i} outside 1..{self.cfg.set_count}")
-        return tuple(col[i - 1] for col in self.columns)
+        if ranks and not 1 <= ranks[0] <= ranks[-1] <= self.horizon:
+            raise HorizonError(f"ranks {ranks[0]}..{ranks[-1]} outside stored range 1..{self.horizon}")
+        step, out = (self.cfg.m if i <= self.cfg.t else 2 * self.cfg.m), [0] * len(ranks)
+        for j in (0, 1):
+            first = standard_column(self.cfg, ranks.start + j)[i - 1]
+            out[j::2] = range(first, first + step * ((len(out) - j + 1) // 2), step)
+        devs = self.deviations  # looked up rank by rank or entry by entry, whichever is fewer
+        for n in filter(devs.__contains__, ranks) if len(ranks) < len(devs) else filter(ranks.__contains__, devs):
+            out[n - ranks.start] = devs[n][i - 1]
+        return out
+
+    def set_elements(self, i: int) -> tuple[int, ...]:
+        """All stored elements of set i (1-based), in rank order: set_run over the horizon."""
+        return tuple(self.set_run(i, range(1, self.horizon + 1)))
 
     def elements(self) -> tuple[int, ...]:
         """Every stored element, sorted ascending."""

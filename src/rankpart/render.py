@@ -36,10 +36,10 @@ def _rank_blocks(shown: int) -> Iterator[range]:
 def partition_pieces(p: Partition, shown: int, fmt: str = "text") -> Iterator[str]:
     """The text of render_partition, in pieces as they are made.
 
-    Each piece covers at most _BLOCK ranks, whose columns are read as the
-    piece is written: text rank by rank, CSV and JSON set by set, reading
-    every shown column once per set.  A caller that writes each piece as it
-    comes holds a few thousand columns at a time, whatever `shown` is.
+    Each piece covers at most _BLOCK ranks, read as the piece is written:
+    text column by column, CSV and JSON set by set through `Partition.set_run`,
+    which builds no column.  A caller that writes each piece as it comes
+    holds a few thousand entries at a time, whatever `shown` is.
     Raises ValueError, before the first piece, for `shown` outside
     1..horizon or an unknown format.
     """
@@ -50,16 +50,15 @@ def partition_pieces(p: Partition, shown: int, fmt: str = "text") -> Iterator[st
             yield "".join([" ".join(map(str, col)) + "\n" for col in map(p.column, ranks)])
     elif fmt == "csv":
         yield "set,rank,value\n"
-        for i in range(p.cfg.set_count):
+        for i in range(1, p.cfg.set_count + 1):
             for ranks in _rank_blocks(shown):
-                yield "".join([f"{i + 1},{n},{col[i]}\n" for n, col in zip(ranks, map(p.column, ranks))])
+                yield "".join([f"{i},{n},{x}\n" for n, x in zip(ranks, p.set_run(i, ranks))])
     elif fmt == "json":  # json.dumps(doc, sort_keys=True) of {"m", "columns_shown", "sets": one list per set}
         yield f'{{"columns_shown": {shown}, "m": {p.cfg.m}, "sets": ['
-        for i in range(p.cfg.set_count):
-            head = ", [" if i else "["
+        for i in range(1, p.cfg.set_count + 1):
             for ranks in _rank_blocks(shown):
-                yield head + ", ".join([str(col[i]) for col in map(p.column, ranks)])
-                head = ", "
+                yield ("[" if i == 1 else ", [") if ranks.start == 1 else ", "  # a set's list opens at rank 1
+                yield _id_text(p.set_run(i, ranks), ", ")
             yield "]"
         yield "]}\n"
     else:

@@ -6,8 +6,9 @@ target, and the greedy oracle rescans from zero at every rank instead of
 keeping a cursor, the signature, deviation and equivalence oracles scan
 every rank forward, the union grouping keys heads by their sorted union
 tuple, the column, gap and column-sum scans visit every element or rank in
-turn, the reshuffle loops make one family exchange at a time, and the
-census CSV writer turns every id into text on its own.
+turn, the reshuffle loops make one family exchange at a time, the census CSV
+writer turns every id into text on its own, and the partition table writer
+reads every entry of a CSV or JSON table from its whole column.
 Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
@@ -457,3 +458,13 @@ def census_csv(reports) -> str:
                 value = ";".join(f"{k}={v}" for k, v in sorted(value.items()))
             lines.append(f"{doc['protocol']},{field},\"{value}\"")
     return "\n".join(lines) + "\n"
+
+
+def partition_table_by_column(p, shown: int, fmt: str) -> str:
+    """A CSV or JSON partition table written set by set, every entry read through p.column."""
+    cols = [p.column(n) for n in range(1, shown + 1)]
+    sets = range(p.cfg.set_count)
+    if fmt == "csv":
+        return "set,rank,value\n" + "".join(f"{i + 1},{n},{col[i]}\n" for i in sets for n, col in enumerate(cols, 1))
+    body = ", ".join("[" + ", ".join(str(col[i]) for col in cols) + "]" for i in sets)
+    return f'{{"columns_shown": {shown}, "m": {p.cfg.m}, "sets": [{body}]}}\n'

@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, formats, and exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import resource
@@ -12,7 +13,7 @@ import pytest
 
 from oracles import reshuffle_family_ii_loop
 from rankpart.checks import run_verification, verification_passed
-from rankpart.cli import main
+from rankpart.cli import COMMANDS, main
 from rankpart.config import ModulusConfig
 from rankpart.partition import standard_partition
 from rankpart.reshuffle import FAMILIES
@@ -551,6 +552,20 @@ USAGE_ERRORS = {
         ("census", "--m"),
         SUB_USAGE["census"] + "rankpart census: error: argument --m: expected one argument\n",
     ),
+    "census-unknown-option": (("census", "--bogus"), TOP_USAGE + "rankpart: error: unrecognized arguments: --bogus\n"),
+    "diff-trailing-token": (
+        ("diff", "--head", "8", "extra"), TOP_USAGE + "rankpart: error: unrecognized arguments: extra\n",
+    ),
+    "reshuffle-unknown-option": (
+        ("reshuffle", "--family", "i", "--kmax", "1", "--bogus"),
+        TOP_USAGE + "rankpart: error: unrecognized arguments: --bogus\n",
+    ),
+    "generate-trailing-token": (("generate", "extra"), TOP_USAGE + "rankpart: error: unrecognized arguments: extra\n"),
+    # the subcommand's own error comes before the leftover token's
+    "diff-unknown-option-without-head": (
+        ("diff", "--bogus"),
+        SUB_USAGE["diff"] + "rankpart diff: error: the following arguments are required: --head\n",
+    ),
 }
 
 
@@ -582,3 +597,41 @@ def test_main_reads_sys_argv(capsys, columns80, monkeypatch):
     assert capsys.readouterr().err == USAGE_ERRORS["no-arguments"][1]
     monkeypatch.setattr(sys, "argv", ["rankpart", "diff", "--help"])
     assert (main(), *capsys.readouterr()) == (0, HELP["diff"], "")
+
+
+VALID_CALLS = {
+    "generate": ("generate", "--horizon", "8", "--show", "3"),
+    "census": ("census", "--horizon", "16"),
+    "verify": ("verify", "--horizon", "64"),
+    "diff": ("diff", "--head", "8", "--horizon", "16"),
+    "reshuffle": ("reshuffle", "--family", "i", "--kmax", "1", "--horizon", "12"),
+}
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every ArgumentParser constructed, in order, counted through a wrapped __init__."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return progs
+
+
+@pytest.mark.parametrize("command", VALID_CALLS)
+def test_a_valid_call_builds_one_parser(capsys, parsers_built, command):
+    assert list(VALID_CALLS) == list(COMMANDS)
+    assert run(capsys, *VALID_CALLS[command])[::2] == (0, "")
+    assert parsers_built == [f"rankpart {command}"]
+
+
+@pytest.mark.parametrize("command", VALID_CALLS)
+def test_a_leftover_token_builds_the_full_parser_too(capsys, parsers_built, columns80, command):
+    assert run(capsys, *VALID_CALLS[command], "extra") == (
+        2, "", TOP_USAGE + "rankpart: error: unrecognized arguments: extra\n"
+    )
+    assert parsers_built == [f"rankpart {command}", "rankpart", *(f"rankpart {name}" for name in COMMANDS)]

@@ -7,10 +7,11 @@ import json
 from array import array
 
 import pytest
-from oracles import census_csv
+from oracles import census_csv, partition_table_by_column
 
 import rankpart as rp
 from rankpart.checks import CheckResult
+from rankpart.errors import HorizonError
 from rankpart.render import _BLOCK, _indented, partition_pieces, render_census, render_checks, render_partition
 
 M5 = rp.ModulusConfig(5)
@@ -61,6 +62,74 @@ def test_table_pieces_are_read_as_they_are_written(fmt):
         assert len(next(pieces)) < 30 * _BLOCK  # a piece covers at most _BLOCK ranks
     with pytest.raises(ValueError):
         next(partition_pieces(p, 10**15, "xml"))
+
+
+# The per-set reader, Partition.set_run, against whole columns.  Four greedy
+# extensions at H = 10**18 whose maps reach past rank 2**58, each read
+# entry by entry from its map, and an m=5 reshuffle whose map is longer
+# than a block, read rank by rank.
+def _greedy(m: int, head_id: int) -> rp.Partition:
+    cfg = rp.ModulusConfig(m)
+    return rp.greedy_extend(cfg, rp.head_by_id(cfg, head_id).columns, 10**18)
+
+
+READER_PARTITIONS = {
+    "m5-head7": lambda: _greedy(5, 7),
+    "m7-head40": lambda: _greedy(7, 40),
+    "m9-head100": lambda: _greedy(9, 100),
+    "m13-head50": lambda: _greedy(13, 50),
+    "m5-family-ii": lambda: rp.reshuffle_family(rp.standard_partition(M5, 9000), "ii", 1400),
+}
+
+
+@pytest.fixture(scope="module", params=READER_PARTITIONS)
+def reader_partition(request):
+    return READER_PARTITIONS[request.param]()
+
+
+def test_set_run_reads_the_entries_of_whole_columns(reader_partition):
+    p = reader_partition
+    far = sorted(p.deviations)[-3:]  # map ranks of both parities
+    starts = {1, 2, 3, 4, _BLOCK - 1, _BLOCK, _BLOCK + 1, p.horizon - _BLOCK, p.horizon - _BLOCK - 1}
+    starts.update(lo for n in far for lo in (n - 2000, n - 1, n))
+    for lo in sorted(starts):
+        for ranks in (range(lo, lo + k) for k in (1, 2, 3, _BLOCK + 1) if lo + k - 1 <= p.horizon):
+            cols = list(map(p.column, ranks))
+            for i in range(1, p.cfg.set_count + 1):
+                assert p.set_run(i, ranks) == [col[i - 1] for col in cols], (i, ranks)
+
+
+def test_set_elements_is_the_reader_over_the_horizon():
+    cfg = rp.ModulusConfig(13)
+    for p in (
+        READER_PARTITIONS["m5-family-ii"](),
+        rp.greedy_extend(cfg, rp.head_by_id(cfg, 50).columns, 4097),
+        rp.standard_partition(cfg, 4096),
+    ):
+        cols = p.columns
+        for i in range(1, p.cfg.set_count + 1):
+            assert p.set_elements(i) == tuple(col[i - 1] for col in cols)
+
+
+def test_set_run_bounds():
+    p = rp.standard_partition(M5, 10)
+    assert p.set_run(3, range(1, 1)) == [] and p.set_run(3, range(10, 11)) == [45]
+    for ranks in (range(0, 3), range(9, 12)):
+        with pytest.raises(HorizonError):
+            p.set_run(1, ranks)
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            p.set_run(i, range(1, 3))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_set_tables_equal_the_per_column_writer(reader_partition, fmt):
+    p = reader_partition
+    for shown in (1, 2, 3, 46, _BLOCK - 1, _BLOCK, _BLOCK + 1, 9000):
+        out = render_partition(p, shown, fmt)
+        assert out == partition_table_by_column(p, shown, fmt), shown
+    if fmt == "json":
+        assert json.loads(out)["sets"] == [[col[i] for col in map(p.column, range(1, 9001))] for i in range(p.cfg.set_count)]
 
 
 def test_census_json_object_and_list():

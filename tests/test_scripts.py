@@ -78,6 +78,7 @@ def test_startup_prints_one_line_per_subcommand():
     docs = [json.loads(line) for line in run_script("startup.py", "--runs", "1").splitlines()]
     assert [d["command"] for d in docs] == ["generate", "census", "verify", "diff", "reshuffle"]
     assert all(d["runs"] == 1 and 0 < d["min_ms"] <= d["median_ms"] for d in docs)
+    assert all(d["parse_us"] > 0 for d in docs)
     loaded = {d["command"]: set(d["modules"]) for d in docs}
     assert "rankpart.checks" in loaded["verify"] and "rankpart.census" in loaded["census"]
     assert not loaded["generate"] & {"rankpart.census", "rankpart.checks", "rankpart.reshuffle"}
