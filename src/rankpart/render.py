@@ -56,9 +56,9 @@ def partition_pieces(p: Partition, shown: int, fmt: str = "text") -> Iterator[st
     elif fmt == "json":  # json.dumps(doc, sort_keys=True) of {"m", "columns_shown", "sets": one list per set}
         yield f'{{"columns_shown": {shown}, "m": {p.cfg.m}, "sets": ['
         for i in range(1, p.cfg.set_count + 1):
+            yield "[" if i == 1 else ", ["
             for ranks in _rank_blocks(shown):
-                yield ("[" if i == 1 else ", [") if ranks.start == 1 else ", "  # a set's list opens at rank 1
-                yield _id_text(p.set_run(i, ranks), ", ")
+                yield ("" if ranks.start == 1 else ", ") + _id_text(p.set_run(i, ranks), ", ")
             yield "]"
         yield "]}\n"
     else:
