@@ -27,29 +27,27 @@ two builders with equal (D+, D-) at rank r have used the same elements in
 columns 1..r, and greedy extension fills every later rank from the rank and
 that set alone, so their later columns are identical.  Their extensions are
 equivalent with N = r, whatever the horizon, and if one fails the other
-fails at the same rank.  On entry every prefix is checked by the one prefix
-validator (partition.check_prefixes, a bulk pass of C builtins), and D+, D-
-are frozensets of the set differences of each prefix's element set against
-the standard one.  One heap holds every builder's next event up to the
-horizon.  At each event rank the builders due there step and are merged on
-(D+, D-), and only the survivors look up their next event.  The engine
-records just the columns it fills; a prefix's own columns stay with
-the caller.  `lockstep_classes` sorts the extensions into equivalence
-classes, `lockstep_extensions` returns every extension as a sparse
-`Partition` whose deviation map is the prefix's deviating columns followed
-by the ones its builder filled, and `greedy_extend` runs the same engine on
-one prefix.  A dead builder's CollisionError or NegativeError is kept
-without its traceback, and `greedy_extend` pops the error it raises off
-the engine's list, so no local holds it and no reference cycle holds a
-run's state, or its callers' frames, once it returns.  The dense builder
-it is tested against, one rank at a time over an explicit used set, lives
-in tests/oracles.py.
+fails at the same rank.  Every prefix is checked by the one prefix
+validator (partition.check_prefixes, a bulk pass of C builtins) and starts
+from `_start_states`.  One builder walks `_events`, the generator that pairs
+`_next_event` with `_dense_step`; `greedy_extend` is that walk, and an error
+it raises leaves the step with no local holding it.  A batch keeps its own
+heap of next events up to the horizon, because a generator yields only
+after it has stepped and a builder that merges first must not step: at each
+event rank the builders due there step and are merged on (D+, D-), and only
+the survivors look up their next event.  The engine records just the
+columns it fills; a prefix's own columns stay with the caller.
+`lockstep_classes` sorts the extensions into equivalence classes and
+`lockstep_extensions` returns each as a sparse `Partition` whose deviation
+map is the prefix's deviating columns followed by the ones its builder
+filled.  The dense builder it is tested against, one rank at a time over an
+explicit used set, lives in tests/oracles.py.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, repeat
 
 from .config import ModulusConfig
@@ -57,7 +55,6 @@ from .errors import CollisionError, InvariantError, NegativeError
 from .partition import (
     Column,
     Partition,
-    check_columns,
     check_prefixes,
     standard_columns,
     sum_schedule,
@@ -151,62 +148,59 @@ def _dense_step(
     return col, frozenset(plus), frozenset(minus)
 
 
+def _events(
+    m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset[int], until: int
+) -> Iterator[tuple[int, Column | None, frozenset[int], frozenset[int]]]:
+    """Step one builder on from the state (n, D+, D-), event by event up to rank `until`.
+
+    Yields (rank, column or None where standard, D+, D-) after each dense
+    step; every rank skipped takes the standard column.  A failing step's
+    CollisionError or NegativeError propagates.
+    """
+    while (n := _next_event(m, t, n, dplus, dminus)) <= until:
+        col, dplus, dminus = _dense_step(m, t, n - 1, dplus, dminus)
+        yield n, col, dplus, dminus
+
+
+def _start_states(
+    cfg: ModulusConfig, prefixes: Sequence[Sequence[Sequence[int]]]
+) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """The D+ and D- of each prefix of a batch, checked in one bulk pass (partition.check_prefixes).
+
+    They are the set differences of its element set and the standard one.
+    """
+    used = check_prefixes(cfg, prefixes)
+    std_used = frozenset(chain.from_iterable(standard_columns(cfg, len(prefixes[0]))))
+    plus = list(map(frozenset, map(set.difference, used, repeat(std_used))))
+    return plus, list(map(frozenset, map(std_used.difference, used)))
+
+
 def _run_lockstep(
     cfg: ModulusConfig, prefixes: Sequence[Iterable[Sequence[int]]], horizon: int
-) -> tuple[list[int], list[int | None], list[int], list[dict[int, Column]], list[Exception | None]]:
-    """Advance one builder per prefix from event to event; the core of every entry point.
+) -> tuple[list[int | None], list[int | None], list[int], list[dict[int, Column]]]:
+    """Advance one builder per prefix from event to event; the core of the batch entry points.
 
-    Returns (parent, roots, held, filled, errors).  parent[i] is the earlier
-    builder that builder i merged into (i itself when it never merged),
-    roots[i] the first builder of its class or None when that class died,
-    and held[i] the rank to which builder i's own columns count: its merge
-    rank, else the horizon.  filled[i] maps each rank past the prefix whose
-    column builder i filled and which is not the standard column to that
-    column; the prefix's own columns are the caller's.  errors[i] is the
-    CollisionError or NegativeError that stopped builder i, or None; it
-    carries no traceback, which would hold this run's frames.
-
-    All prefixes are validated in one bulk pass (partition.check_prefixes)
-    and D+, D- are frozensets of the set differences between each prefix's
-    element set and the standard one.  Builders merge at the prefix rank and
-    at every event rank where their (D+, D-) are equal (a proof, see the
-    module docstring); the later index joins the earlier one.  D changes
-    only at events, and one heap holds every builder's next event up to the
-    horizon.  At each event rank every live builder due there steps, its new
-    state is compared with every live builder's, and only the builders still
-    alive after that get their next event scheduled.
+    Returns (parent, roots, held, filled).  parent[i] is i while builder i
+    lives, the earlier builder it merged into, or None once it died from a
+    CollisionError or NegativeError.  roots[i] is the first builder of its
+    class, or None when that class died, and held[i] the rank to which
+    builder i's own columns count: its merge rank, else the horizon.
+    filled[i] maps each rank past the prefix whose column builder i filled
+    and which is not the standard column to that column; the prefix's own
+    columns are the caller's.  Builders merge at the prefix rank and at each
+    event rank where their (D+, D-) are equal; the later joins the earlier.
     """
     m, t = cfg.m, cfg.t
     prefixes = list(map(tuple, prefixes))
     if not prefixes:
-        return [], [], [], [], []
-    used = check_prefixes(cfg, prefixes)
+        return [], [], [], []
+    plus, minus = _start_states(cfg, prefixes)
     start = len(prefixes[0])
     if horizon < start:
         raise ValueError(f"horizon {horizon} is shorter than the {start}-column prefixes")
-    std_used = frozenset(chain.from_iterable(standard_columns(cfg, start)))
-    plus = list(map(frozenset, map(set.difference, used, repeat(std_used))))
-    minus = list(map(frozenset, map(std_used.difference, used)))
-    count = len(prefixes)
-    parent = list(range(count))
-    held = [horizon] * count
-    filled: list[dict[int, Column]] = [{} for _ in range(count)]
-    errors: list[Exception | None] = [None] * count
-    alive = [True] * count
-
-    def step(i: int, rank: int) -> bool:
-        try:
-            col, plus[i], minus[i] = _dense_step(m, t, rank - 1, plus[i], minus[i])
-        except (CollisionError, NegativeError) as e:
-            errors[i], alive[i] = e.with_traceback(None), False
-            return False
-        if col is not None:
-            filled[i][rank] = col
-        return True
-
-    def merge(i: int, j: int, rank: int) -> None:
-        parent[i], held[i], alive[i] = j, rank, False
-
+    parent: list[int | None] = list(range(len(prefixes)))
+    held = [horizon] * len(prefixes)
+    filled: list[dict[int, Column]] = [{} for _ in prefixes]
     due: dict[float, list[int]] = {}  # event rank -> the builders that step there
     ranks: list[float] = []  # heap of the keys of due
 
@@ -221,34 +215,39 @@ def _run_lockstep(
 
     index: dict = {}  # (D+, D-) -> the live builder holding it
     for i, key in enumerate(zip(plus, minus)):
-        j = index.setdefault(key, i)
-        if j != i:
-            merge(i, j, start)
+        if (j := index.setdefault(key, i)) != i:
+            parent[i], held[i] = j, start
         else:
             schedule(i, start)
     while ranks:
         rank = heapq.heappop(ranks)
         stepped = []
         for i in sorted(due.pop(rank)):
-            if alive[i]:
+            if parent[i] == i:
                 del index[plus[i], minus[i]]
-                if step(i, rank):
-                    stepped.append(i)
+                try:
+                    col, plus[i], minus[i] = _dense_step(m, t, rank - 1, plus[i], minus[i])
+                except (CollisionError, NegativeError):
+                    parent[i] = None
+                    continue
+                if col is not None:
+                    filled[i][rank] = col
+                stepped.append(i)
         for i in stepped:
             key = plus[i], minus[i]
             j = index.setdefault(key, i)
             if j < i:
-                merge(i, j, rank)
+                parent[i], held[i] = j, rank
             elif j > i:  # a builder that did not step at this rank
-                merge(j, i, rank)
+                parent[j], held[j] = i, rank
                 index[key] = i
         for i in stepped:
-            if alive[i]:
+            if parent[i] == i:
                 schedule(i, rank)
-    roots: list[int] = []
+    roots: list[int | None] = []
     for i, j in enumerate(parent):
-        roots.append(i if j == i else roots[j])  # merges always point to an earlier builder
-    return parent, [None if errors[r] is not None else r for r in roots], held, filled, errors
+        roots.append(i if j == i else None if j is None else roots[j])  # merges point to an earlier builder
+    return parent, roots, held, filled
 
 
 def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon: int) -> Partition:
@@ -275,13 +274,10 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
         When the prefix itself is malformed.
     """
     cols = [tuple(col) for col in columns]
-    if horizon <= len(cols):
-        check_columns(cfg, cols)
-        return Partition.from_columns(cfg, cols)
-    _, _, _, (filled,), errors = _run_lockstep(cfg, [cols], horizon)
-    if errors[0] is not None:
-        raise errors.pop()  # a local holding it would make a cycle through its traceback
-    return Partition(cfg, horizon, Partition.from_columns(cfg, cols).deviations | filled)
+    (dplus,), (dminus,) = _start_states(cfg, [cols])
+    events = _events(cfg.m, cfg.t, len(cols), dplus, dminus, horizon)
+    filled = {n: col for n, col, _, _ in events if col is not None}
+    return Partition(cfg, max(horizon, len(cols)), Partition.from_columns(cfg, cols).deviations | filled)
 
 
 def lockstep_classes(
@@ -318,7 +314,7 @@ def lockstep_extensions(
     Raises as lockstep_classes does.
     """
     prefixes = [tuple(map(tuple, cols)) for cols in prefixes]
-    parent, roots, held, filled, _ = _run_lockstep(cfg, prefixes, horizon)
+    parent, roots, held, filled = _run_lockstep(cfg, prefixes, horizon)
     out: list[Partition | None] = []
     for i, (cols, j, root) in enumerate(zip(prefixes, parent, roots)):
         if root is None:

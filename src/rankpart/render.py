@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections.abc import Iterator
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -36,26 +37,28 @@ def _rank_blocks(shown: int) -> Iterator[range]:
 def partition_pieces(p: Partition, shown: int, fmt: str = "text") -> Iterator[str]:
     """The text of render_partition, in pieces as they are made.
 
-    Each piece covers at most _BLOCK ranks, read as the piece is written:
-    text column by column, CSV and JSON set by set through `Partition.set_run`,
-    which builds no column.  A caller that writes each piece as it comes
-    holds a few thousand entries at a time, whatever `shown` is.
+    Each piece covers at most _BLOCK ranks, read set by set as it is written
+    through `Partition.set_run`, which builds no column (text zips the sets'
+    runs into rows).  A caller that writes each piece as it comes holds a
+    few thousand entries at a time, whatever `shown` is.
     Raises ValueError, before the first piece, for `shown` outside
     1..horizon or an unknown format.
     """
     if not 1 <= shown <= p.horizon:
         raise ValueError(f"columns shown must be within 1..{p.horizon}, got {shown}")
+    sets = range(1, p.cfg.set_count + 1)
     if fmt == "text":
+        row = " ".join(["%d"] * len(sets)) + "\n"
         for ranks in _rank_blocks(shown):
-            yield "".join([" ".join(map(str, col)) + "\n" for col in map(p.column, ranks)])
+            yield (row * len(ranks)) % tuple(chain.from_iterable(zip(*[p.set_run(i, ranks) for i in sets])))
     elif fmt == "csv":
         yield "set,rank,value\n"
-        for i in range(1, p.cfg.set_count + 1):
+        for i in sets:
             for ranks in _rank_blocks(shown):
                 yield "".join([f"{i},{n},{x}\n" for n, x in zip(ranks, p.set_run(i, ranks))])
     elif fmt == "json":  # json.dumps(doc, sort_keys=True) of {"m", "columns_shown", "sets": one list per set}
         yield f'{{"columns_shown": {shown}, "m": {p.cfg.m}, "sets": ['
-        for i in range(1, p.cfg.set_count + 1):
+        for i in sets:
             yield "[" if i == 1 else ", ["
             for ranks in _rank_blocks(shown):
                 yield ("" if ranks.start == 1 else ", ") + _id_text(p.set_run(i, ranks), ", ")

@@ -8,7 +8,7 @@ every rank forward, the union grouping keys heads by their sorted union
 tuple, the column, gap and column-sum scans visit every element or rank in
 turn, the reshuffle loops make one family exchange at a time, the census CSV
 writer turns every id into text on its own, and the partition table writer
-reads every entry of a CSV or JSON table from its whole column.
+reads every entry of a text, CSV or JSON table from its whole column.
 Slow but obviously correct.  The one exception is the dense engine the event-driven one
 replaced: `PartitionBuilder` steps rank by rank over an explicit used set
 (it checks its prefix with rankpart's `check_columns`, and test_greedy holds
@@ -461,8 +461,10 @@ def census_csv(reports) -> str:
 
 
 def partition_table_by_column(p, shown: int, fmt: str) -> str:
-    """A CSV or JSON partition table written set by set, every entry read through p.column."""
+    """A partition table with every entry read through p.column: text row by row, CSV and JSON set by set."""
     cols = [p.column(n) for n in range(1, shown + 1)]
+    if fmt == "text":
+        return "".join(" ".join(map(str, col)) + "\n" for col in cols)
     sets = range(p.cfg.set_count)
     if fmt == "csv":
         return "set,rank,value\n" + "".join(f"{i + 1},{n},{col[i]}\n" for i in sets for n, col in enumerate(cols, 1))

@@ -9,9 +9,11 @@ equivalences its merges prove, and each is a union of classify_scan's
 classes, which need columns identical on the second half of the horizon.
 From H = 24 on, the two references agree on every census tested.
 lockstep_extensions is held to greedy_extend prefix by prefix.  Since
-greedy_extend runs the same event-driven engine, every entry point is also
-held to oracles.dense_lockstep, which steps PartitionBuilders rank by rank,
-and the engine's event bound is checked on its own on synthetic states.
+greedy_extend walks the same events (`greedy._events`) with the same dense
+step, every entry point is also held to oracles.dense_lockstep, which steps
+PartitionBuilders rank by rank; an event stream resumed from the last state
+it yielded fills greedy_extend's columns, and the engine's event bound is
+checked on its own on synthetic states.
 """
 from __future__ import annotations
 
@@ -252,6 +254,9 @@ def test_malformed_middle_prefix_raises_the_check_columns_message(fault):
     with pytest.raises(rp.InvariantError) as exc:
         rp.greedy_extend(cfg, bad, 64)
     assert str(exc.value) == want
+    with pytest.raises(rp.InvariantError) as exc:
+        rp.greedy_extend(cfg, bad, len(bad))  # no rank left to fill: the prefix is still checked
+    assert str(exc.value) == want
 
 
 def test_first_malformed_prefix_names_the_fault():
@@ -471,6 +476,41 @@ def test_engine_matches_dense_reference_for_every_group(m):
 def test_engine_matches_dense_reference_on_subsets(subset, horizon):
     m, prefixes = subset
     assert_matches_dense(rp.ModulusConfig(m), prefixes, horizon, every_greedy=True)
+
+
+@pytest.mark.parametrize("m", (5, 7, 9))
+def test_event_stream_resumes_from_its_last_state(m, groups_by_m):
+    """The state _events yields is a builder's whole frontier: resuming from it loses nothing.
+
+    Each representative and the standard head is run to H = 64, then run on
+    from the last state yielded (the start state when none was) to 256.  The
+    columns filled equal greedy_extend's deviations past the prefix, and a
+    dying prefix raises the same error on both paths.
+    """
+    cfg = rp.ModulusConfig(m)
+    dead = 0
+    for cols in [g.representative.columns for g in groups_by_m[m]] + [std_head(cfg)]:
+        (dplus,), (dminus,) = greedy._start_states(cfg, [cols])
+        state, filled = (len(cols), dplus, dminus), {}
+        try:
+            for until in (64, 256):
+                for n, col, dplus, dminus in greedy._events(m, cfg.t, *state, until):
+                    state = n, dplus, dminus
+                    if col is not None:
+                        filled[n] = col
+        except (rp.CollisionError, rp.NegativeError) as e:
+            got = type(e), e.rank, e.value
+        else:
+            got = filled
+        try:
+            ext = rp.greedy_extend(cfg, cols, 256)
+        except (rp.CollisionError, rp.NegativeError) as e:
+            want = type(e), e.rank, e.value
+            dead += 1
+        else:
+            want = {n: col for n, col in ext.deviations.items() if n > len(cols)}
+        assert got == want, cols
+    assert dead == (10 if m == 7 else 0)
 
 
 def test_greedy_extend_matches_dense_builder_from_any_prefix_length():

@@ -15,9 +15,10 @@ import weakref
 import pytest
 
 import rankpart as rp
+import rankpart.greedy as greedy
 from rankpart.checks import run_verification
 
-M7, M9, M11 = rp.ModulusConfig(7), rp.ModulusConfig(9), rp.ModulusConfig(11)
+M5, M7, M9, M11 = (rp.ModulusConfig(m) for m in (5, 7, 9, 11))
 
 
 def cyclic_garbage(call) -> int:
@@ -52,6 +53,16 @@ def dead11() -> rp.Head:
     return rp.head_by_id(M11, rp.run_census(11, 64).non_extendable[0])
 
 
+def first_event_of_a_live_representative(cfg: rp.ModulusConfig) -> None:
+    """Open the event stream of the first representative off the standard whose class lives; close it after one event."""
+    reps = representatives(cfg)
+    plus, minus = greedy._start_states(cfg, reps)
+    i = next(i for i, root in enumerate(rp.lockstep_classes(cfg, reps, 64)) if root is not None and plus[i])
+    stream = greedy._events(cfg.m, cfg.t, len(reps[i]), plus[i], minus[i], 4096)
+    next(stream)
+    stream.close()
+
+
 CALLS = {
     "run_census(11, 4096)": lambda: rp.run_census(11, 4096),
     "run_census_both(7, 64)": lambda: rp.run_census_both(7, 64),
@@ -63,6 +74,8 @@ CALLS = {
     "head_by_id(m=9, 1737)": lambda: rp.head_by_id(M9, 1737),
     "enumerate_heads_general(m=7)": lambda: rp.enumerate_heads_general(M7),
     "sum_decompositions(43, 3, 8)": lambda: rp.sum_decompositions(43, 3, 8),
+    "greedy_extend of m=5 head 8 at 10**18": lambda: rp.greedy_extend(M5, rp.head_by_id(M5, 8).columns, 10**18),
+    "an m=11 event stream closed after its first event": lambda: first_event_of_a_live_representative(M11),
 }
 
 

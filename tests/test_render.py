@@ -122,7 +122,7 @@ def test_set_run_bounds():
             p.set_run(i, range(1, 3))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_set_tables_equal_the_per_column_writer(reader_partition, fmt):
     p = reader_partition
     for shown in (1, 2, 3, 46, _BLOCK - 1, _BLOCK, _BLOCK + 1, 9000):
