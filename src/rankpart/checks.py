@@ -126,8 +126,8 @@ def _check_greedy(cfg: ModulusConfig, p: Partition, horizon: int) -> CheckResult
     return CheckResult("greedy-reproduction", True, "greedy extension of the first five columns reproduces the rest")
 
 
-def _check_signatures(cfg: ModulusConfig, horizon: int) -> CheckResult:
-    _, groups = head_groups(cfg)
+def _check_signatures(cfg: ModulusConfig, horizon: int, node_budget: int) -> CheckResult:
+    _, groups = head_groups(cfg, node_budget=node_budget)
     reps = [g.representative for g in groups if not g.is_standard]
     expected = {class_id: _expected_columns(sig, horizon) for class_id, sig in sorted(SIGNATURES.items())}
     tally: dict[int, int] = {}
@@ -241,7 +241,7 @@ def run_verification(
         validated = std if inject is None and {"sum-schedule", "prefix-completeness"} <= passed else None
         results.append(_check_reshuffles(cfg, horizon, validated))
         if horizon >= 2048:
-            results.append(_check_signatures(cfg, horizon))
+            results.append(_check_signatures(cfg, horizon, node_budget))
     if horizon >= 2048 and cfg.m in KNOWN_CLASS_COUNTS:
         results.append(_check_class_count(cfg, horizon, node_budget))
     return results

@@ -37,7 +37,9 @@ if TYPE_CHECKING:
 
 BUDGET_ENV = "RANKPART_NODE_BUDGET"
 # the exit code of an error a command raises: that of the first class it belongs to
-_EXIT_CODES = ((ParseError, 2), (InvariantError, 2), (ResourceError, 3), (RankPartError, 1), (ValueError, 2))
+_EXIT_CODES = (
+    (ParseError, 2), (InvariantError, 2), (HorizonError, 2), (ResourceError, 3), (RankPartError, 1), (ValueError, 2)
+)
 
 
 def _node_budget() -> int:
@@ -145,10 +147,7 @@ def cmd_reshuffle(args: argparse.Namespace) -> int:
     from .reshuffle import reshuffle_family
 
     std = standard_partition(ModulusConfig(args.m if args.m is not None else 5), args.horizon)
-    try:
-        p = reshuffle_family(std, args.family, args.kmax)
-    except HorizonError as e:  # a horizon too short for --kmax is a usage error, as elsewhere
-        raise ValueError(str(e)) from None
+    p = reshuffle_family(std, args.family, args.kmax)
     sys.stdout.writelines(partition_pieces(p, _shown(args), args.format))
     return 0
 

@@ -20,7 +20,7 @@ class CollisionError(RankPartError):
 
 
 class NegativeError(RankPartError):
-    """The forced last entry of a column is negative."""
+    """A head's blank entry, forced by the schedule, is negative; only head completion raises it."""
 
     def __init__(self, rank: int, value: int):
         self.rank = rank

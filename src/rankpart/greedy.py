@@ -4,8 +4,8 @@ Given a sum-conforming prefix, rank n is filled by placing the t smallest
 integers not yet used anywhere into sets 1..t in increasing order and solving
 for the last set's entry from the schedule: last = S(n) - (sum of the t
 picks).  The step either succeeds or fails loudly; there is no repair logic.
-A forced entry that is negative or already in use means the prefix simply
-does not extend at that rank.
+A failed step is a collision: the forced entry is already in use, so the
+prefix does not extend at that rank.  It is never negative (`_dense_step`).
 
 Each step depends only on the rank and the set of used integers, and that
 set stays within a few elements of the standard partition's.  The engine
@@ -99,12 +99,17 @@ def _next_event(m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset
 
 def _dense_step(
     m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset[int]
-) -> tuple[Column | None, frozenset[int], frozenset[int]]:
-    """Fill rank n+1 from the state (n, D+, D-).
+) -> tuple[Column, frozenset[int], frozenset[int]]:
+    """Fill rank n+1 from the state (n, D+, D-); returns the column and the new (D+, D-).
 
-    Returns the column, or None where it is the standard column, and the
-    new (D+, D-).  Raises NegativeError for a negative forced entry and
-    CollisionError for one already used, each with the rank and the value.
+    Lemma.  The builder has used (t+1)n integers, so its j-th smallest free
+    integer is at most (t+1)n + j - 1, and the forced entry, S(n+1) less the
+    picks, is at least (t+1)n + t*floor(n/2) + t.  That is positive, above
+    every pick and at least lo, where the standard partition has used only
+    the multiples below m*n.  So the step fails only by colliding with D+ or
+    with a standard multiple below m*n not in D-: CollisionError(n+1, entry).
+    At an event rank the column is never the standard one, because each of
+    `_next_event`'s four cases is exact.
     """
     # The standard column of rank n+1 is base+1, ..., base+t and m*n.  From
     # lo on, the standard partition has used only the multiples below m*n;
@@ -120,14 +125,8 @@ def _dense_step(
             picks.append(v)
         v += 1
     last = (t + 1) ** 2 * n + t * (n // 2) + t * (t + 1) // 2 - sum(picks)
-    if last < 0:
-        raise NegativeError(n + 1, last)
-    j = last // m
-    std_used = j < n if last == m * j else last - j - 1 < t * n
-    if last in dplus or last in picks or (std_used and last not in dminus):
+    if last in dplus or (not last % m and last < mn and last not in dminus):
         raise CollisionError(n + 1, last)
-    if last == mn and picks[0] == base + 1 and picks[-1] == top:
-        return None, dplus, dminus
     col = (*picks, last)
     # Only the elements where col and the standard column differ move D: an
     # element of col outside the standard column leaves D- or enters D+, an
@@ -150,12 +149,12 @@ def _dense_step(
 
 def _events(
     m: int, t: int, n: int, dplus: frozenset[int], dminus: frozenset[int], until: int
-) -> Iterator[tuple[int, Column | None, frozenset[int], frozenset[int]]]:
+) -> Iterator[tuple[int, Column, frozenset[int], frozenset[int]]]:
     """Step one builder on from the state (n, D+, D-), event by event up to rank `until`.
 
-    Yields (rank, column or None where standard, D+, D-) after each dense
-    step; every rank skipped takes the standard column.  A failing step's
-    CollisionError or NegativeError propagates.
+    Yields (rank, column, D+, D-) after each dense step: every event column
+    differs from the standard one, which every rank skipped takes.  A failing
+    step's CollisionError propagates.
     """
     while (n := _next_event(m, t, n, dplus, dminus)) <= until:
         col, dplus, dminus = _dense_step(m, t, n - 1, dplus, dminus)
@@ -181,14 +180,14 @@ def _run_lockstep(
     """Advance one builder per prefix from event to event; the core of the batch entry points.
 
     Returns (parent, roots, held, filled).  parent[i] is i while builder i
-    lives, the earlier builder it merged into, or None once it died from a
-    CollisionError or NegativeError.  roots[i] is the first builder of its
-    class, or None when that class died, and held[i] the rank to which
-    builder i's own columns count: its merge rank, else the horizon.
-    filled[i] maps each rank past the prefix whose column builder i filled
-    and which is not the standard column to that column; the prefix's own
-    columns are the caller's.  Builders merge at the prefix rank and at each
-    event rank where their (D+, D-) are equal; the later joins the earlier.
+    lives, the earlier builder it merged into, or None once it died of a
+    CollisionError.  roots[i] is the first builder of its class, or None
+    when that class died, and held[i] the rank to which builder i's own
+    columns count: its merge rank, else the horizon.  filled[i] maps each
+    event rank at which builder i stepped to its column, which is not the
+    standard one; the prefix's own columns are the caller's.  Builders merge
+    at the prefix rank and at each event rank where their (D+, D-) are
+    equal; the later joins the earlier.
     """
     m, t = cfg.m, cfg.t
     prefixes = list(map(tuple, prefixes))
@@ -227,11 +226,10 @@ def _run_lockstep(
                 del index[plus[i], minus[i]]
                 try:
                     col, plus[i], minus[i] = _dense_step(m, t, rank - 1, plus[i], minus[i])
-                except (CollisionError, NegativeError):
+                except CollisionError:
                     parent[i] = None
                     continue
-                if col is not None:
-                    filled[i][rank] = col
+                filled[i][rank] = col
                 stepped.append(i)
         for i in stepped:
             key = plus[i], minus[i]
@@ -267,16 +265,16 @@ def greedy_extend(cfg: ModulusConfig, columns: Iterable[Sequence[int]], horizon:
 
     Raises
     ------
-    CollisionError, NegativeError
-        When some rank admits no valid forced entry; the failing rank is
-        attached to the exception.
+    CollisionError
+        When some rank's forced entry is already in use; the failing rank
+        and the entry are attached to the exception.
     InvariantError
         When the prefix itself is malformed.
     """
     cols = [tuple(col) for col in columns]
     (dplus,), (dminus,) = _start_states(cfg, [cols])
     events = _events(cfg.m, cfg.t, len(cols), dplus, dminus, horizon)
-    filled = {n: col for n, col, _, _ in events if col is not None}
+    filled = {n: col for n, col, _, _ in events}
     return Partition(cfg, max(horizon, len(cols)), Partition.from_columns(cfg, cols).deviations | filled)
 
 
@@ -289,11 +287,11 @@ def lockstep_classes(
     None when the class's extension does not reach the horizon.  Two
     extensions share a class when their used sets coincide at some rank up
     to the horizon, which proves them equivalent (module docstring); a
-    builder that hits a forced collision or a negative entry takes its whole
-    class with it.  Classes that would merge only past the horizon stay
-    apart.  Each class is a union of the classes equivalence.classify finds
-    on the extensions at the same horizon: its rule, made for stored
-    partitions, also needs their columns identical on (H/2, H].
+    builder whose forced entry collides takes its whole class with it.
+    Classes that would merge only past the horizon stay apart.  Each class
+    is a union of the classes equivalence.classify finds on the extensions
+    at the same horizon: its rule, made for stored partitions, also needs
+    their columns identical on (H/2, H].
 
     Raises ValueError when the prefixes differ in length or the horizon is
     shorter than them, and InvariantError when a prefix is malformed.
@@ -307,10 +305,10 @@ def lockstep_extensions(
     """The greedy extension of every prefix to the horizon, from one lockstep run.
 
     Entry i equals greedy_extend(cfg, prefixes[i], horizon), or is None where
-    that raises CollisionError or NegativeError.  Only the class roots reach
-    the horizon.  A merged prefix's deviation map is its own deviations up
-    to the rank where its used set met an earlier builder's, then that
-    builder's, since greedy extension from equal used sets is the same.
+    that raises CollisionError.  Only the class roots reach the horizon.  A
+    merged prefix's deviation map is its own deviations up to the rank where
+    its used set met an earlier builder's, then that builder's event
+    columns, since greedy extension from equal used sets is the same.
     Raises as lockstep_classes does.
     """
     prefixes = [tuple(map(tuple, cols)) for cols in prefixes]

@@ -176,3 +176,15 @@ def test_verification_passed_helper():
     assert verification_passed(good)
     assert not verification_passed(good + [CheckResult("c", False, "")])
     assert verification_passed([])
+
+
+def test_signature_check_searches_heads_within_the_callers_budget(monkeypatch):
+    budgets = []
+
+    def head_groups(cfg, **options):
+        budgets.append(options.get("node_budget"))
+        return rp.head_groups(cfg, **options)
+
+    monkeypatch.setattr(checks, "head_groups", head_groups)
+    assert verification_passed(run_verification(5, 2048, node_budget=10**6))
+    assert budgets == [10**6]

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import rankpart.greedy as greedy
 from oracles import reshuffle_family_ii_loop
 from rankpart.checks import run_verification, verification_passed
 from rankpart.cli import COMMANDS, main
 from rankpart.config import ModulusConfig
+from rankpart.errors import HorizonError
 from rankpart.partition import standard_partition
 from rankpart.reshuffle import FAMILIES
 
@@ -260,6 +262,16 @@ def test_reshuffle_kmax_beyond_horizon(capsys):
                        "--horizon", "12", "--show", "4")
     assert code == 2
     assert "horizon" in err
+
+
+def test_horizon_error_exits_2_from_any_command(capsys, monkeypatch):
+    def short(cfg, columns, horizon):
+        raise HorizonError(f"horizon {horizon} exceeds stored 4 columns")
+
+    monkeypatch.setattr(greedy, "greedy_extend", short)
+    assert run(capsys, "diff", "--m", "5", "--head", "1", "--horizon", "8") == (
+        2, "", "error: horizon 8 exceeds stored 4 columns\n"
+    )
 
 
 def test_argparse_errors_exit_2(capsys):

@@ -256,6 +256,7 @@ def test_dedup_accepts_unnumbered_heads(heads36):
     anon = [rp.Head(M5, h.columns) for h in heads36]
     groups = rp.dedup_heads(anon)
     assert len(groups) == 21
+    assert rp.dedup_heads([]) == []
 
 
 @pytest.mark.parametrize("m", [5, 7, 9, 11])

@@ -143,6 +143,7 @@ def test_family_rank_arithmetic():
     assert fam.k_for_rank(21) == 1
     assert fam.k_for_rank(12) is None
     assert fam.k_for_rank(1) is None
+    assert fam.k_for_rank(31) is None  # (31 - 1) / 10 = 3 is not a power of two
     assert fam.ranks_up_to(100) == [11, 21, 41, 81]
 
 
@@ -224,6 +225,7 @@ def test_standard_equivalent_heads(heads36):
     assert got == {1, 8, 15, 19, 26}
     assert rp.standard_equivalent_heads([heads36[7]], DEEP) == {8}
     assert rp.standard_equivalent_heads([heads36[4]], DEEP) == set()
+    assert rp.standard_equivalent_heads([], 64) == set()
 
 
 def test_standard_equivalence_skips_dead_heads():

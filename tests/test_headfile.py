@@ -89,6 +89,14 @@ def test_json_shape_errors(tmp_path):
             parse_head_file(write(tmp_path, "h.json", doc))
 
 
+def test_json_column_that_is_not_a_list(tmp_path, capsys):
+    path = write(tmp_path, "h.json", '{"columns": [[1, 2, 0], 7]}')
+    with pytest.raises(ParseError, match="^column 2 is not a list$"):
+        parse_head_file(path)
+    assert main(["generate", "--head", str(path), "--horizon", "8"]) == 2
+    assert capsys.readouterr() == ("", "error: column 2 is not a list\n")
+
+
 def test_two_blanks_rejected(tmp_path):
     path = write(tmp_path, "h.txt", "0 1 2\n3 _ _\n")
     with pytest.raises(InvariantError):

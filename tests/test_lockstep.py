@@ -13,7 +13,9 @@ greedy_extend walks the same events (`greedy._events`) with the same dense
 step, every entry point is also held to oracles.dense_lockstep, which steps
 PartitionBuilders rank by rank; an event stream resumed from the last state
 it yielded fills greedy_extend's columns, and the engine's event bound is
-checked on its own on synthetic states.
+checked on its own on synthetic states.  So is the dense step's lemma: the
+forced entry clears every pick, and a step dies only by colliding with D+
+or with a standard multiple the builder still holds.
 """
 from __future__ import annotations
 
@@ -496,8 +498,7 @@ def test_event_stream_resumes_from_its_last_state(m, groups_by_m):
             for until in (64, 256):
                 for n, col, dplus, dminus in greedy._events(m, cfg.t, *state, until):
                     state = n, dplus, dminus
-                    if col is not None:
-                        filled[n] = col
+                    filled[n] = col
         except (rp.CollisionError, rp.NegativeError) as e:
             got = type(e), e.rank, e.value
         else:
@@ -578,7 +579,7 @@ def check_event_bound(cfg: rp.ModulusConfig, n: int, dplus: frozenset[int], dmin
     try:
         col = greedy_step(m, used, event)
     except ValueError:
-        with pytest.raises((rp.CollisionError, rp.NegativeError)) as exc:
+        with pytest.raises(rp.CollisionError) as exc:
             greedy._dense_step(m, t, event - 1, dplus, dminus)
         assert exc.value.rank == event
         return
@@ -606,3 +607,59 @@ def test_event_bound_is_exact_for_every_single_exchange(m):
         for out in sorted(std):
             for extra in sorted(ahead):
                 check_event_bound(cfg, n, frozenset({extra}), frozenset({out}))
+
+
+@pytest.mark.parametrize(
+    "m, dplus, dminus, value",
+    ((5, {23, 24, 26}, {25, 30, 35}, 40), (7, {32, 34}, {42, 49}, 56)),
+)
+def test_forced_entry_collides_with_a_standard_multiple_still_in_use(m, dplus, dminus, value):
+    """The one way to die besides D+: the forced entry is a multiple below m*n the builder has used."""
+    cfg = rp.ModulusConfig(m)
+    dplus, dminus = frozenset(dplus), frozenset(dminus)
+    assert greedy._next_event(m, cfg.t, 9, dplus, dminus) == 10
+    check_event_bound(cfg, 9, dplus, dminus)
+    with pytest.raises(rp.CollisionError) as exc:
+        greedy._dense_step(m, cfg.t, 9, dplus, dminus)
+    assert (exc.value.rank, exc.value.value) == (10, value)
+    assert value not in dplus | dminus and value % m == 0 and value < m * 9
+
+
+# --- the lemma of greedy._dense_step ------------------------------------------
+
+def forced_floor(t: int, n: int) -> int:
+    """The least forced entry of rank n+1: S(n+1) less the t largest picks possible."""
+    return (t + 1) * n + t * (n // 2) + t
+
+
+@pytest.mark.parametrize("m", (5, 7, 9, 11))
+def test_forced_entry_clears_the_picks_on_every_walk(m, groups_by_m):
+    """Every step of every representative and the standard head, walked to H = 1024."""
+    cfg = rp.ModulusConfig(m)
+    dead = 0
+    for cols in [g.representative.columns for g in groups_by_m[m]] + [std_head(cfg)]:
+        (dplus,), (dminus,) = greedy._start_states(cfg, [cols])
+        try:
+            for rank, col, _, _ in greedy._events(m, cfg.t, len(cols), dplus, dminus, 1024):
+                assert col[-1] >= forced_floor(cfg.t, rank - 1) > max(col[:-1]), (cols, rank)
+        except rp.CollisionError as e:
+            assert e.value >= forced_floor(cfg.t, e.rank - 1)
+            dead += 1
+    assert dead == {7: 10, 11: 75}.get(m, 0)  # every one collides with D+ at rank 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(synthetic_states())
+def test_forced_entry_clears_the_picks_on_synthetic_states(state):
+    """A step returns a fresh column above the bound, or collides with D+ or a used standard multiple."""
+    cfg, n, dplus, dminus = state
+    m, t = cfg.m, cfg.t
+    used = (std_used_by(cfg, n) | dplus) - dminus
+    try:
+        col, _, _ = greedy._dense_step(m, t, n, dplus, dminus)
+    except rp.CollisionError as e:
+        assert e.rank == n + 1 and e.value >= forced_floor(t, n)
+        assert e.value in dplus or (e.value in used and e.value % m == 0 and e.value < m * n)
+    else:
+        assert col[-1] >= forced_floor(t, n) > max(col[:-1])
+        assert used.isdisjoint(col)
